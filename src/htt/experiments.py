@@ -305,7 +305,13 @@ class Report:
 
 
 def _config_hash(config: ExperimentConfig) -> str:
-    canon = repr(sorted(config.__dict__.items(), key=lambda kv: kv[0]))
+    """Hash of the config's fields, each dict field taken in key order, so
+    equal configs hash equally."""
+    fields = {
+        k: dict(sorted(v.items())) if isinstance(v, dict) else v
+        for k, v in config.__dict__.items()
+    }
+    canon = repr(sorted(fields.items(), key=lambda kv: kv[0]))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -603,6 +609,14 @@ def interlacing_violation(entries, rng: np.random.Generator) -> float:
     return float(max(lower, upper))
 
 
+def _mirrored(measure: PointMeasure) -> PointMeasure:
+    """The measure averaged with its mirror image x -> -x."""
+    return PointMeasure.from_atoms(
+        np.concatenate([measure.locations, -measure.locations]),
+        np.concatenate([measure.weights, measure.weights]) / 2.0,
+    )
+
+
 def run_property_suite(config: ExperimentConfig) -> Report:
     """Statistical checks of the limiting measure's properties: symmetry,
     the quenched subgaussian MGF bound, the bounded-support radius below
@@ -630,10 +644,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         workers=config.threads,
     )
     save_measure_csv(out / "properties_raw_measure.csv", raw)
-    sym = PointMeasure.from_atoms(
-        np.concatenate([raw.locations, -raw.locations]),
-        np.concatenate([raw.weights, raw.weights]) / 2.0,
-    )
+    sym = _mirrored(raw)
     sym_stat = max(
         abs(sym.cdf(-x) - (1.0 - sym.cdf(x, side="left"))) for x in (0.5, 1.0, 2.0)
     )
@@ -669,10 +680,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
             window = operator_window(env, a_levels)
             core = a_levels.w - a_levels.l
             measure = window_measure_at_unit_vector(window, core_radius=core)
-            sym = PointMeasure.from_atoms(
-                np.concatenate([measure.locations, -measure.locations]),
-                np.concatenate([measure.weights, measure.weights]) / 2.0,
-            )
+            sym = _mirrored(measure)
             for beta in (0.5, 1.0):
                 bound = subgaussian_bound(env, beta, alpha)
                 if mgf(sym, beta) <= tol("mgf_slack") * bound:

@@ -7,6 +7,21 @@ The projection kernel is the Fourier-side indicator of [0, 1/2]:
                   0              if k != l and k - l even,
                   -i/(pi (k-l))  if k - l odd.
 
+Windows are built in the gauge of the diagonal unitary Phi = diag(i**k).
+Conjugating by Phi turns the kernel into the real symmetric
+
+    i**(k-l) entry(k, l) = 1/2                      if k == l,
+                           0                        if k != l and k - l even,
+                           (-1)**((d-1)/2)/(pi d)    if d = k - l is odd,
+
+and Phi commutes with the random diagonal, so every operator window
+Phi (P D P) Phi* is exactly real symmetric: window entry (k, l) equals
+i**(k-l) times the operator's matrix element.  The projected vector is
+carried as Phi u, which is real as well.  Phi is unitary and diagonal, so
+the spectral measures at Phi u and at every basis vector e_k are those of
+the complex operator at u and e_k.  :func:`projection_entry` keeps the
+complex definition, the oracle the gauge is tested against.
+
 Band truncation here is a straight band on Z (no circular wrap), unlike the
 matrix-side truncation in :mod:`htt.matrices` which wraps on [2N].  Keeping
 the two in separate modules avoids mixing the conventions.
@@ -42,8 +57,14 @@ __all__ = [
 ]
 
 
+# Rows of a cosine series evaluated per step of series_values; bounds its
+# working memory for every series length.
+_SERIES_CHUNK = 4096
+
+
 def projection_entry(k: int, l: int) -> complex:
-    """Kernel entry of the half-frequency projection at (k, l)."""
+    """Kernel entry of the half-frequency projection at (k, l) (complex,
+    outside the gauge)."""
     d = k - l
     if d == 0:
         return 0.5 + 0.0j
@@ -53,19 +74,21 @@ def projection_entry(k: int, l: int) -> complex:
 
 
 def _projection_block(rows: np.ndarray, cols: np.ndarray, band: int | None) -> np.ndarray:
-    """Kernel entries on rows x cols, band-zeroed beyond |k-l| > band."""
+    """Gauge kernel i**(k-l) entry(k, l) on rows x cols, band-zeroed beyond
+    |k-l| > band: real, and 1/(pi |d|) signed by (-1)**((|d|-1)/2) at odd d."""
     d = rows[:, None] - cols[None, :]
-    out = np.zeros(d.shape, dtype=complex)
-    odd = d % 2 != 0
-    out[odd] = -1j / (np.pi * d[odd])
-    out[d == 0] = 0.5
+    lo = int(d.min())
+    offsets = np.abs(np.arange(lo, int(d.max()) + 1))
+    kernel = np.where(offsets % 4 == 1, 1.0, -1.0) / (np.pi * np.maximum(offsets, 1))
+    kernel[offsets % 2 == 0] = 0.0
+    kernel[offsets == 0] = 0.5
     if band is not None:
-        out[np.abs(d) > band] = 0.0
-    return out
+        kernel[offsets > band] = 0.0
+    return kernel[d - lo]
 
 
 def projection_window(w: int, band: int | None = None) -> np.ndarray:
-    """(2w+1)-dimensional Hermitian window of the projection kernel,
+    """(2w+1)-dimensional window of the gauge kernel (real symmetric),
     indexed by k in {-w, ..., w}; optional straight band truncation."""
     if w < 1:
         raise ValueError(f"half-width must be >= 1, got {w}")
@@ -76,7 +99,8 @@ def projection_window(w: int, band: int | None = None) -> np.ndarray:
 
 
 def projection_unit_vector(w: int) -> np.ndarray:
-    """sqrt(2) times the kernel column at 0, restricted to |k| <= w.
+    """sqrt(2) times the gauge kernel column at 0, restricted to |k| <= w:
+    the projected basis vector u in the gauge, Phi u (real).
 
     The squared norm tends to 1 as w grows (it is >= 0.999 from w = 512 on);
     normalize before using it as a spectral-measure vector.
@@ -129,11 +153,37 @@ def series_value(series: CosineSeries, k: int) -> float:
 
 
 def series_values(series: CosineSeries, ks: np.ndarray) -> np.ndarray:
-    """Vectorized series values at integer offsets ks."""
+    """Vectorized series values at integer offsets ks, by block rotation.
+
+    With B = ceil(sqrt(span of ks)), write k = k_min + q B + r.  The phase
+    splits into a_q = frac(u + (k_min + q B) zeta) and b_r = frac(r zeta),
+    both exact on the dyadic grid, and
+
+        value(k) = 2 [(c cos 2 pi a_q) . cos 2 pi b_r
+                      - (c sin 2 pi a_q) . sin 2 pi b_r],
+
+    one matrix product over about 2 sqrt(span) trig columns instead of span.
+    Rows of the series are taken _SERIES_CHUNK at a time.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
     n = series._coeff_count()
     coeff = series_coefficients(series)
-    phase = np.mod(series.env.u[:n, None] + np.outer(series.env.zeta[:n], ks), 1.0)
-    return 2.0 * coeff @ np.cos(2.0 * np.pi * phase)
+    k_min = int(ks.min())
+    span = int(ks.max()) - k_min + 1
+    block = math.isqrt(span - 1) + 1
+    starts = k_min + block * np.arange(-(-span // block))
+    rs = np.arange(block)
+    table = np.zeros((starts.size, block))
+    for lo in range(0, n, _SERIES_CHUNK):
+        rows = slice(lo, min(lo + _SERIES_CHUNK, n))
+        c = coeff[rows, None]
+        zeta = series.env.zeta[rows, None]
+        a = 2.0 * np.pi * np.mod(series.env.u[rows, None] + zeta * starts, 1.0)
+        b = 2.0 * np.pi * np.mod(zeta * rs, 1.0)
+        left = np.concatenate([c * np.cos(a), -c * np.sin(a)])
+        table += left.T @ np.concatenate([np.cos(b), np.sin(b)])
+    offset = ks - k_min
+    return 2.0 * table[offset // block, offset % block]
 
 
 def shift_environment(env: Environment, l: int) -> Environment:
@@ -149,8 +199,9 @@ def shift_environment(env: Environment, l: int) -> Environment:
 
 @dataclass(frozen=True)
 class OperatorWindow:
-    """Dense Hermitian window of the compressed operator, indexed by
-    k in {-half_width, ..., half_width}."""
+    """Dense window of the compressed operator, indexed by
+    k in {-half_width, ..., half_width}, in the gauge Phi = diag(i**k):
+    matrix[k, l] = i**(k-l) A(k, l), a real symmetric float64 array."""
 
     half_width: int
     matrix: np.ndarray
@@ -169,7 +220,7 @@ class OperatorWindow:
 
 
 def window_from_diagonal(diag: np.ndarray, w: int, l: int) -> OperatorWindow:
-    """Window of the sandwich (band projection, given diagonal, band
+    """Gauge window of the sandwich (band projection, given diagonal, band
     projection) for diagonal values aligned to indices {-w-l, ..., w+l}.
 
     The inner summation index runs over the padded range, so every retained
@@ -185,7 +236,7 @@ def window_from_diagonal(diag: np.ndarray, w: int, l: int) -> OperatorWindow:
     if diag.shape != ms.shape:
         raise ValueError(f"diagonal must have length {ms.size}, got {diag.size}")
     a = _projection_block(ks, ms, l)
-    return OperatorWindow(half_width=w, matrix=(a * diag) @ a.conj().T)
+    return OperatorWindow(half_width=w, matrix=(a * diag) @ a.T)
 
 
 def operator_window(env: Environment, levels: TruncationLevels) -> OperatorWindow:

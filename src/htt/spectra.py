@@ -141,7 +141,7 @@ def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"v must be a unit vector, got norm {nrm!r}")
     system = eig_hermitian(a)
-    weights = np.abs(system.vectors.conj().T @ v) ** 2
+    weights = np.abs(v.conj() @ system.vectors) ** 2
     keep = weights > 0.0
     return PointMeasure.from_atoms(
         system.values[keep], weights[keep] / weights[keep].sum()
@@ -173,7 +173,8 @@ def window_measure_at_unit_vector(
 ) -> PointMeasure:
     """Spectral measure of a window at the projected basis vector.
 
-    The vector sqrt(2) * (projection column at 0) is restricted to
+    The vector sqrt(2) * (projection column at 0), taken in the window's
+    gauge (see :mod:`htt.limit_operator`), is restricted to
     |k| <= core_radius (default: half_width minus the band width margin is
     the caller's business; None keeps the whole window) and renormalized.
     """
@@ -284,20 +285,18 @@ def resolvent_identity_residual(
     exact for the infinite operator with untruncated projection; evaluated
     here on the window with band width 2w (projection untruncated at window
     scale), so the residual measures window convergence and decays like 1/w.
+    Both sides are gauge invariant, so the real window and the vectors e0
+    and Phi u give the same residual.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise ValueError("z must have nonzero imaginary part")
     w = levels.w
-    window = operator_window(env, replace_levels_band(levels, 2 * w))
+    window = operator_window(env, replace(levels, l=2 * w))
     e0 = window.basis_vector(0)
     u = projection_unit_vector(w)
     u = u / np.linalg.norm(u)
     system = eig_hermitian(window.matrix)
-    res = system.vectors.conj().T @ np.column_stack([e0.astype(complex), u])
-    s_e0, s_u = (np.abs(res) ** 2 / (system.values - z)[:, None]).sum(axis=0)
+    res = np.stack([e0, u]) @ system.vectors
+    s_e0, s_u = (res**2 / (system.values - z)).sum(axis=1)
     return abs(2.0 * s_e0 + 1.0 / z - s_u)
-
-
-def replace_levels_band(levels: TruncationLevels, l: int) -> TruncationLevels:
-    return TruncationLevels(m=levels.m, k=levels.k, l=l, w=levels.w, j=levels.j)

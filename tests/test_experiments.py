@@ -7,6 +7,7 @@ import pytest
 from htt.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    _config_hash,
     config_from_mapping,
     corner_embedding_deviation,
     ladder_distances,
@@ -85,6 +86,13 @@ class TestReport:
         assert prov["seed"] == 3
         assert len(prov["config_hash"]) == 16
         assert "tolerances" in prov
+
+    def test_hash_ignores_tolerance_order(self):
+        a = ExperimentConfig("limit", tolerances={"a": 1, "b": 2})
+        b = ExperimentConfig("limit", tolerances={"b": 2, "a": 1})
+        assert a == b
+        assert _config_hash(a) == _config_hash(b)
+        assert _config_hash(a) != _config_hash(ExperimentConfig("limit", tolerances={"a": 1}))
 
     def test_reproducible_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -9,6 +9,7 @@ from htt.limit_operator import (
     projection_entry,
     projection_unit_vector,
     projection_window,
+    series_coefficients,
     series_value,
     series_values,
     shift_environment,
@@ -16,6 +17,27 @@ from htt.limit_operator import (
 )
 from htt.matrices import TruncationLevels
 from htt.sampler import AlphaParams, Environment, RngSeed, sample_environment
+from htt.spectra import spectral_measure_at
+
+# i**k for k mod 4, exact; the gauge is Phi = diag(i**k)
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _phase(k):
+    return _I_POWERS[np.mod(k, 4)]
+
+
+def _gauge(mat, rows, cols):
+    """Phi mat Phi* for a block indexed by rows x cols."""
+    return _phase(rows)[:, None] * mat * np.conj(_phase(cols))[None, :]
+
+
+def _complex_block(rows, cols, band):
+    """Band-truncated kernel on rows x cols from the scalar definition."""
+    return np.array(
+        [[projection_entry(k, m) if abs(k - m) <= band else 0.0 for m in cols]
+         for k in rows]
+    )
 
 
 def _env(gamma, zeta, u, alpha=0.5, p=0.5, eps=None):
@@ -60,7 +82,14 @@ class TestProjectionWindow:
                 [0.0, -1j / math.pi, 0.5],
             ]
         )
-        np.testing.assert_allclose(w, expected, atol=1e-15)
+        ks = np.arange(-1, 2)
+        assert w.dtype == np.float64
+        np.testing.assert_allclose(w, _gauge(expected, ks, ks), atol=1e-15)
+
+    def test_gauge_of_scalar_entries(self):
+        ks = np.arange(-9, 10)
+        expected = _gauge(_complex_block(ks, ks, 5), ks, ks)
+        np.testing.assert_allclose(projection_window(9, band=5), expected, atol=1e-15)
 
     def test_band_truncation_no_wrap(self):
         w = projection_window(3, band=1)
@@ -130,6 +159,28 @@ class TestCosineSeries:
         vec = series_values(s, ks)
         scal = [series_value(s, int(k)) for k in ks]
         np.testing.assert_allclose(vec, scal, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            np.arange(-40, -29),
+            np.array([7]),
+            np.array([-300, -5, 0, 17, 1000]),
+            np.arange(-1000, 1000),
+        ],
+        ids=["negative", "singleton", "non-contiguous", "2000-wide"],
+    )
+    def test_blocked_matches_fsum_oracle(self, ks):
+        # alpha = 0.9 runs at the 100000-term cap of the default length;
+        # error measured against the series' absolute sum 2 * sum |c_j|
+        env = sample_environment(100_000, AlphaParams(0.9), RngSeed(13))
+        s = CosineSeries(env)
+        vec = series_values(s, ks)
+        assert vec.shape == ks.shape
+        check = np.unique(np.concatenate([np.arange(0, ks.size, 97), [ks.size - 1]]))
+        scal = [series_value(s, int(ks[i])) for i in check]
+        scale = 2.0 * np.abs(series_coefficients(s)).sum()
+        np.testing.assert_allclose(vec[check], scal, rtol=0, atol=1e-14 * scale)
 
 
 class TestShift:
@@ -226,16 +277,56 @@ class TestOperatorWindow:
                     pk = projection_entry(k, mm) if abs(k - mm) <= 3 else 0.0
                     pl = projection_entry(mm, l) if abs(mm - l) <= 3 else 0.0
                     acc += pk * series_value(series, mm) * pl
-                assert abs(win[k + 6, l + 6] - acc) < 1e-12
+                assert abs(win[k + 6, l + 6] - _phase(k - l) * acc) < 1e-12
+
+    def test_real_window_is_gauge_of_complex_window(self):
+        # the complex window built from the scalar kernel definition, at
+        # random small (w, l): the real window is its Phi-conjugate, and the
+        # spectral measures at u and Phi u (and at e_0) coincide
+        rng = np.random.default_rng(14)
+        params = AlphaParams(0.5, 0.5)
+        for trial in range(10):
+            w = int(rng.integers(2, 13))
+            l = int(rng.integers(1, 2 * w + 1))
+            env = sample_environment(64, params, RngSeed(600, trial))
+            lv = TruncationLevels(m=2.0, k=8, l=l, w=w, j=64)
+            win = operator_window(env, lv)
+            assert win.matrix.dtype == np.float64
+            ks = np.arange(-w, w + 1)
+            ms = np.arange(-w - l, w + l + 1)
+            series = CosineSeries(env, terms=64, clip=2.0, top_k=8)
+            diag = np.array([series_value(series, int(m)) for m in ms])
+            a = _complex_block(ks, ms, l)
+            full = (a * diag) @ a.conj().T
+            np.testing.assert_allclose(win.matrix, _gauge(full, ks, ks), rtol=0, atol=1e-13)
+            u = np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
+            u /= np.linalg.norm(u)
+            phi_u = projection_unit_vector(w)
+            phi_u /= np.linalg.norm(phi_u)
+            for real_vec, complex_vec in ((phi_u, u), (win.basis_vector(0),) * 2):
+                real_m = spectral_measure_at(win.matrix, real_vec)
+                complex_m = spectral_measure_at(full, complex_vec)
+                assert len(real_m) == len(complex_m)
+                np.testing.assert_allclose(
+                    real_m.locations, complex_m.locations, rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    real_m.weights, complex_m.weights, rtol=0, atol=1e-12
+                )
 
 
 class TestUnitVector:
     def test_entries(self):
+        # Phi u, with u = sqrt(2) times the kernel column at 0
         w = 8
         u = projection_unit_vector(w)
+        assert u.dtype == np.float64
         assert u[w] == np.sqrt(2.0) * 0.5
         assert u[w + 2] == 0.0
-        assert abs(u[w + 1] - np.sqrt(2.0) * (-1j / math.pi)) < 1e-15
+        assert abs(u[w + 1] - _phase(1) * np.sqrt(2.0) * (-1j / math.pi)) < 1e-15
+        ks = np.arange(-w, w + 1)
+        expected = _phase(ks) * np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
+        np.testing.assert_allclose(u, expected, rtol=0, atol=1e-15)
 
     def test_norm_tends_to_one(self):
         norms = [np.linalg.norm(projection_unit_vector(w)) for w in (64, 512)]

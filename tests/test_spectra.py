@@ -236,6 +236,19 @@ class TestMcLimitMeasure:
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.weights, b.weights)
 
+    def test_process_pool_matches_serial(self):
+        # the ProcessPoolExecutor path gives byte-identical atoms
+        lv = TruncationLevels(m=math.inf, k=256, l=4, w=32, j=256)
+        runs = [
+            mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=2,
+                             seed=RngSeed(9), workers=workers)
+            for workers in (1, 2)
+        ]
+        for field in ("locations", "weights", "replica_ids"):
+            serial, pooled = (getattr(m, field) for m in runs)
+            assert serial.dtype == pooled.dtype
+            assert serial.tobytes() == pooled.tobytes()
+
 
 class TestResolventIdentity:
     def test_zero_operator_exact(self):
