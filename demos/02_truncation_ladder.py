@@ -11,6 +11,7 @@ with the coupling k = m = l^(1/9) tying the levels together.  Each step
 moves the empirical spectral distribution a little; the total Levy
 distance shrinks as the band grows.  This script measures the three stage
 distances per replica and prints the pooled means at two band widths.
+Stages are computed in the circulant basis, with no dense 2N x 2N sandwich.
 """
 
 import numpy as np

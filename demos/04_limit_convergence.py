@@ -22,15 +22,17 @@ from htt.spectra import PointMeasure
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
+sizes = (128, 512, 2048)
 cfg = ExperimentConfig(
-    experiment="limit", alpha=0.5, ref_envs=60, w=256, seed=4, out_dir=str(OUT)
+    experiment="limit", alpha=0.5, n_list=sizes, ref_envs=60, w=256, seed=4,
+    out_dir=str(OUT),
 )
 print("estimating the limiting measure from 60 environments ...")
 ref = reference_limit_measure(cfg)
 
 params = cfg.params()
 replicas = 10
-for i, n in enumerate((128, 512, 2048)):
+for i, n in enumerate(sizes):
     locs, wts = [], []
     for r in range(replicas):
         entries = sample_entries(n, params, RngSeed(4).with_stream(1000 * (i + 1) + r))

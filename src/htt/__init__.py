@@ -6,7 +6,6 @@ from .sampler import (
     EntrySequence,
     Environment,
     RngSeed,
-    circulant_limit_samples,
     default_series_length,
     normalizer,
     sample_entries,
@@ -14,7 +13,6 @@ from .sampler import (
 )
 from .matrices import (
     TruncationLevels,
-    approx_eigs,
     band_truncate,
     build_circulant,
     build_toeplitz,
@@ -23,8 +21,10 @@ from .matrices import (
     cosine_spectrum,
     dft_matrix,
     projection_matrix,
+    projection_symbol,
     sandwich,
-    topk_spectrum,
+    stage_eigvals,
+    topk_coefficients,
 )
 from .limit_operator import (
     CosineSeries,
@@ -46,7 +46,6 @@ from .spectra import (
     resolvent_identity_residual,
     spectral_measure_at,
     stieltjes,
-    vector_moment,
 )
 from .metrics import (
     ks_distance,

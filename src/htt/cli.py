@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import load_config, run_experiment
+from .experiments import EXPERIMENTS, load_config, run_experiment
 from .plots import emit_plots
-
-_EXPERIMENTS = ("esd", "ladder", "limit", "properties", "equidist")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -29,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Heavy-tailed Toeplitz spectra: experiments and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENTS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="base RNG seed")

@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,18 +27,17 @@ from . import __version__
 from .limit_operator import operator_window
 from .matrices import (
     TruncationLevels,
-    approx_eigs,
-    band_truncate,
     build_circulant,
     build_toeplitz,
     circulant_eigs,
     clip_entries,
-    cosine_spectrum,
     projection_matrix,
+    projection_symbol,
     sandwich,
-    topk_spectrum,
+    stage_eigvals,
+    topk_coefficients,
 )
-from .metrics import ks_distance, levy_distance, mgf, subgaussian_bound, support_bound
+from .metrics import levy_distance, mgf, subgaussian_bound, support_bound
 from .sampler import (
     AlphaParams,
     RngSeed,
@@ -56,11 +56,11 @@ from .spectra import (
     esd,
     mc_limit_measure,
     quenched_sub_measure,
-    resolvent_identity_residual,
     window_measure_at_unit_vector,
 )
 
 __all__ = [
+    "EXPERIMENTS",
     "ExperimentConfig",
     "CheckRecord",
     "Report",
@@ -104,6 +104,12 @@ DEFAULT_TOLERANCES = {
 
 _KS_CRITICAL_1PCT = 1.628
 
+EXPERIMENTS = ("esd", "ladder", "limit", "properties", "equidist")
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -129,6 +135,24 @@ class ExperimentConfig:
     bins: int | None = None
     threads: int = 1
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Reject a config no experiment can run, before any work starts."""
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        self.params()  # alpha in (0, 2), p in [0, 1]
+        for key in ("n_list", "l_list"):
+            values = getattr(self, key)
+            if not (isinstance(values, (tuple, list)) and values
+                    and all(_positive_int(v) for v in values)):
+                raise ValueError(f"{key} must be positive integers, got {values!r}")
+        for key in ("replicas", "ref_envs", "inner", "threads"):
+            if not _positive_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer >= 1, got {getattr(self, key)!r}")
+        if not (_positive_int(self.top_coords) and self.top_coords <= 8):
+            raise ValueError(f"top_coords must lie in [1, 8], got {self.top_coords!r}")
+        if self.experiment == "limit" and len(self.n_list) < 3:
+            raise ValueError("limit convergence needs at least 3 sizes")
 
     def params(self) -> AlphaParams:
         return AlphaParams(self.alpha, self.p)
@@ -406,18 +430,15 @@ def run_esd(config: ExperimentConfig) -> Report:
 
 def ladder_distances(entries, levels: TruncationLevels):
     """Levy distances between the ESDs of the four truncation stages:
-    full, magnitude-clipped, band-truncated, top-k."""
-    n = len(entries)
-    p = projection_matrix(n)
-    pl = band_truncate(p, levels.l)
-    d_full = approx_eigs(entries)
-    d_clip = cosine_spectrum(clip_entries(entries.b, levels.m))
-    d_topk = topk_spectrum(entries, levels.m, levels.k)
+    full, magnitude-clipped, band-truncated, top-k.  Each stage is computed
+    from its coefficient vector in the circulant basis (``stage_eigvals``)."""
+    band = projection_symbol(len(entries), levels.l)
+    clipped = clip_entries(entries.b, levels.m)
     stages = [
-        esd(np.linalg.eigvalsh(sandwich(p, d_full))),
-        esd(np.linalg.eigvalsh(sandwich(p, d_clip))),
-        esd(np.linalg.eigvalsh(sandwich(pl, d_clip))),
-        esd(np.linalg.eigvalsh(sandwich(pl, d_topk))),
+        esd(stage_eigvals(entries.b)),
+        esd(stage_eigvals(clipped)),
+        esd(stage_eigvals(clipped, band)),
+        esd(stage_eigvals(topk_coefficients(entries, levels.m, levels.k), band)),
     ]
     return tuple(
         levy_distance(stages[i], stages[i + 1]) for i in range(3)
@@ -532,8 +553,6 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
     most replica noise survives the size-to-size comparison; at 20
     replicas it can exceed the trend slack (see _nested_entry_draws).
     """
-    if len(config.n_list) < 3:
-        raise ValueError("limit convergence needs at least 3 sizes")
     report = _new_report(config)
     out = _out_dir(config)
     params = config.params()
@@ -609,14 +628,6 @@ def interlacing_violation(entries, rng: np.random.Generator) -> float:
     return float(max(lower, upper))
 
 
-def _mirrored(measure: PointMeasure) -> PointMeasure:
-    """The measure averaged with its mirror image x -> -x."""
-    return PointMeasure.from_atoms(
-        np.concatenate([measure.locations, -measure.locations]),
-        np.concatenate([measure.weights, measure.weights]) / 2.0,
-    )
-
-
 def run_property_suite(config: ExperimentConfig) -> Report:
     """Statistical checks of the limiting measure's properties: symmetry,
     the quenched subgaussian MGF bound, the bounded-support radius below
@@ -644,7 +655,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         workers=config.threads,
     )
     save_measure_csv(out / "properties_raw_measure.csv", raw)
-    sym = _mirrored(raw)
+    sym = raw.mirrored()
     sym_stat = max(
         abs(sym.cdf(-x) - (1.0 - sym.cdf(x, side="left"))) for x in (0.5, 1.0, 2.0)
     )
@@ -680,7 +691,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
             window = operator_window(env, a_levels)
             core = a_levels.w - a_levels.l
             measure = window_measure_at_unit_vector(window, core_radius=core)
-            sym = _mirrored(measure)
+            sym = measure.mirrored()
             for beta in (0.5, 1.0):
                 bound = subgaussian_bound(env, beta, alpha)
                 if mgf(sym, beta) <= tol("mgf_slack") * bound:
@@ -771,8 +782,6 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
     report = _new_report(config)
     out = _out_dir(config)
     k = config.top_coords
-    if k > 8:
-        raise ValueError("top_coords must be <= 8")
     n = max(config.n_list)
     params = config.params()
     seed = config.base_seed()
@@ -850,8 +859,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
         "properties": run_property_suite,
         "equidist": run_equidistribution,
     }
-    if config.experiment not in runners:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
     t0 = time.perf_counter()
     report = runners[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)

@@ -1,5 +1,5 @@
 """Finite random matrices: Toeplitz, circulant embedding, the DFT-side
-projection, and their truncations.
+projection, and the spectra of the truncation-ladder stages.
 
 Matrices are plain numpy arrays (real symmetric or complex Hermitian);
 diagonal spectra are 1-d float arrays of length 2N.  Conventions:
@@ -8,12 +8,22 @@ diagonal spectra are 1-d float arrays of length 2N.  Conventions:
   symbol (b_0, ..., b_{N-1}, w, b_{N-1}, ..., b_1); the wrap entry w defaults
   to 0 and never affects the principal N x N block.
 * ``circulant_eigs`` returns d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N);
-  ``approx_eigs`` doubles the j = 0 term as well, shifting every eigenvalue
-  by b_0.  An FFT is used internally; the cosine formula is the contract.
+  ``cosine_spectrum`` doubles the j = 0 term as well, shifting every
+  eigenvalue by b_0.  An FFT is used internally; the cosine formula is the
+  contract.
 * The projection matrix P = F* Q F (F the 2N-point unitary DFT, Q the
   indicator of the first N coordinates) has closed-form entries depending
   only on k - l: 1/2 on the diagonal, 0 at even nonzero differences, and
   (1/N) / (1 - exp(-i pi (k-l) / N)) at odd differences.
+
+P and its circular band truncations P_l are circulant, so the DFT
+diagonalizes them: ``projection_symbol`` gives their eigenvalues q_l.  A
+ladder stage P_l diag(d) P_l with d = ``cosine_spectrum(c)`` is therefore
+unitarily similar to diag(q_l) C diag(q_l), C the real symmetric circulant
+with eigenvalues d, and without truncation its spectrum is that of the N x N
+Toeplitz corner of C plus N zeros.  ``stage_eigvals`` uses these real forms;
+``projection_matrix``, ``band_truncate``, ``dft_matrix`` and ``sandwich``
+build the dense complex objects they replace and serve as oracles.
 """
 
 from __future__ import annotations
@@ -32,13 +42,14 @@ __all__ = [
     "build_circulant",
     "circulant_symbol",
     "circulant_eigs",
-    "approx_eigs",
     "cosine_spectrum",
     "dft_matrix",
     "projection_matrix",
+    "projection_symbol",
     "band_truncate",
     "clip_entries",
-    "topk_spectrum",
+    "topk_coefficients",
+    "stage_eigvals",
     "sandwich",
 ]
 
@@ -67,10 +78,6 @@ class TruncationLevels:
     def coupled(cls, l: int, w: int | None = None, j: int = 10_000) -> "TruncationLevels":
         m = float(l) ** (1.0 / 9.0)
         return cls(m=m, k=max(1, round(m)), l=l, w=8 * l if w is None else w, j=j)
-
-    def is_coupled(self) -> bool:
-        m = float(self.l) ** (1.0 / 9.0)
-        return self.m == m and self.k == max(1, round(m))
 
 
 def build_toeplitz(entries: EntrySequence) -> np.ndarray:
@@ -107,6 +114,12 @@ def circulant_eigs(entries: EntrySequence) -> np.ndarray:
     return _symbol_fft(circulant_symbol(entries))
 
 
+def _cosine_symbol(c: np.ndarray) -> np.ndarray:
+    """Symbol (2 c_0, c_1, ..., c_{N-1}, 0, c_{N-1}, ..., c_1) of the real
+    symmetric circulant whose eigenvalues are ``cosine_spectrum(c)``."""
+    return np.concatenate([[2.0 * c[0]], c[1:], [0.0], c[:0:-1]])
+
+
 def cosine_spectrum(b: np.ndarray) -> np.ndarray:
     """d_k = 2*sum_{j=0}^{N-1} b_j cos(pi j k / N) for k in [2N].
 
@@ -114,20 +127,26 @@ def cosine_spectrum(b: np.ndarray) -> np.ndarray:
     every eigenvalue.  Accepts any real coefficient vector (e.g. clipped
     entries).
     """
-    b = np.asarray(b, dtype=float)
-    symbol = np.concatenate([b, [0.0], b[:0:-1]])
-    return _symbol_fft(symbol) + b[0]
-
-
-def approx_eigs(entries: EntrySequence) -> np.ndarray:
-    """``circulant_eigs`` shifted by b_0 (the doubled j = 0 term)."""
-    return cosine_spectrum(entries.b)
+    return _symbol_fft(_cosine_symbol(np.asarray(b, dtype=float)))
 
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix F(k, l) = exp(2*pi*i*k*l/n) / sqrt(n)."""
     k = np.arange(n)
     return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+def _projection_column(n: int) -> np.ndarray:
+    """First column of P: 1/2 at offset 0, 0 at even offsets, and
+    (1/N)/(1 - exp(-i pi d/N)) at odd offsets d."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    d = np.arange(2 * n)
+    col = np.zeros(2 * n, dtype=complex)
+    col[0] = 0.5
+    odd = d % 2 == 1
+    col[odd] = (1.0 / n) / (1.0 - np.exp(-1j * np.pi * d[odd] / n))
+    return col
 
 
 def projection_matrix(n: int) -> np.ndarray:
@@ -137,14 +156,25 @@ def projection_matrix(n: int) -> np.ndarray:
     at odd |k-l|.  Entries depend only on k - l, so the matrix is Hermitian
     Toeplitz.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d = np.arange(2 * n)
-    col = np.zeros(2 * n, dtype=complex)
-    col[0] = 0.5
-    odd = d % 2 == 1
-    col[odd] = (1.0 / n) / (1.0 - np.exp(-1j * np.pi * d[odd] / n))
-    return scipy.linalg.toeplitz(col)
+    return scipy.linalg.toeplitz(_projection_column(n))
+
+
+def projection_symbol(n: int, l: int) -> np.ndarray:
+    """Eigenvalues of ``band_truncate(projection_matrix(n), l)`` in DFT order.
+
+    The truncation is circulant, so its eigenvalues are the FFT of its first
+    column: P's column with the circular offsets l < d < 2N - l zeroed.
+    They are real because the column is Hermitian.  Like ``band_truncate``,
+    a band l >= n keeps the whole column, with a warning.
+    """
+    if l < 0:
+        raise ValueError(f"band width must be >= 0, got {l}")
+    col = _projection_column(n)
+    if l >= n:
+        warnings.warn(f"band width {l} >= {n} covers the whole matrix", stacklevel=2)
+    else:
+        col[l + 1 : 2 * n - l] = 0.0
+    return np.fft.fft(col).real
 
 
 def band_truncate(p: np.ndarray, l: int) -> np.ndarray:
@@ -175,26 +205,39 @@ def clip_entries(b: np.ndarray, m: float) -> np.ndarray:
     return np.sign(b) * np.minimum(np.abs(b), m)
 
 
-def topk_spectrum(entries: EntrySequence, m: float, k: int) -> np.ndarray:
-    """Spectrum from the k largest-magnitude clipped entries at their
-    original frequencies:
+def topk_coefficients(entries: EntrySequence, m: float, k: int) -> np.ndarray:
+    """Coefficients of the top-k stage: the clipped entries at the k
+    largest-magnitude positions sigma(0..k-1), zero elsewhere, so that
+    ``cosine_spectrum`` of them is
 
-        d_t = 2 * sum_{j<k} clip(b_(j), m) * cos(pi * t * sigma(j) / N),
-        t in [2N].
+        d_t = 2 * sum_{j<k} clip(b_(j), m) * cos(pi * t * sigma(j) / N).
     """
     n = len(entries)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    freqs = entries.order[:k]
-    vals = clip_entries(entries.b[freqs], m)
-    t = np.arange(2 * n)
-    d = np.zeros(2 * n)
-    # chunk the frequency sum to bound the cosine table at 2N x 512
-    for start in range(0, k, 512):
-        f = freqs[start : start + 512]
-        v = vals[start : start + 512]
-        d += 2.0 * np.cos(np.pi * np.outer(t, f) / n) @ v
-    return d
+    top = entries.order[:k]
+    c = np.zeros(n)
+    c[top] = clip_entries(entries.b[top], m)
+    return c
+
+
+def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
+    """Spectrum of P_l diag(cosine_spectrum(c)) P_l, 2N values, for a real
+    coefficient vector c of length N.
+
+    ``band`` is the projection symbol q_l (``projection_symbol(N, l)``), or
+    None for the untruncated P.  With q_l the stage is unitarily similar to
+    diag(q_l) C diag(q_l), C the real symmetric circulant of
+    ``_cosine_symbol(c)``; untruncated, its spectrum is that of C's N x N
+    Toeplitz corner followed by N exact zeros (the corner embedding).
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    symbol = _cosine_symbol(c)
+    if band is None:
+        corner = np.linalg.eigvalsh(scipy.linalg.toeplitz(symbol[:n]))
+        return np.concatenate([corner, np.zeros(n)])
+    return np.linalg.eigvalsh(band[:, None] * scipy.linalg.circulant(symbol) * band[None, :])
 
 
 def sandwich(p: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ checks may rely on small distance differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .sampler import Environment
 from .spectra import PointMeasure
 
 __all__ = [
-    "CdfGrid",
     "levy_distance",
     "ks_distance",
     "mgf",
@@ -33,50 +31,40 @@ _BISECTION_WIDTH = 1e-12
 _TAIL_SAFETY = 1.1
 
 
-@dataclass(frozen=True)
-class CdfGrid:
-    """Both CDFs tabulated on the union of atom locations."""
-
-    points: np.ndarray
-    cdf1: np.ndarray
-    cdf2: np.ndarray
-
-    @classmethod
-    def merge(cls, m1: PointMeasure, m2: PointMeasure) -> "CdfGrid":
-        points = np.union1d(m1.locations, m2.locations)
-        return cls(points=points, cdf1=m1.cdf(points), cdf2=m2.cdf(points))
-
-
 def _require_normalized(*measures: PointMeasure):
     for m in measures:
         if not m.normalized or abs(m.total_mass - 1.0) > 1e-9:
             raise ValueError("distances require normalized probability measures")
 
 
-def _corridor_feasible(m1: PointMeasure, m2: PointMeasure, eps: float) -> bool:
-    """Whether eps-corridors around either CDF contain the other.
+def _corridor_feasible(m1: PointMeasure, m2: PointMeasure, own1, own2, eps: float) -> bool:
+    """Whether eps-corridors around either CDF contain the other; own1 and
+    own2 are each measure's CDF at its own atoms.
 
     For step CDFs the supremum of F1(t - eps) - F2(t) over t is attained
     immediately after an atom of m1 enters the shifted CDF, i.e. it equals
     max_i [F1(x1_i) - F2(x1_i + eps)]; likewise with the roles swapped.
     """
-    if np.any(m1.cdf(m1.locations) - eps > m2.cdf(m1.locations + eps)):
+    if np.any(own1 - eps > m2.cdf(m1.locations + eps)):
         return False
-    if np.any(m2.cdf(m2.locations) - eps > m1.cdf(m2.locations + eps)):
+    if np.any(own2 - eps > m1.cdf(m2.locations + eps)):
         return False
     return True
 
 
 def levy_distance(m1: PointMeasure, m2: PointMeasure) -> float:
     """Exact Levy distance between finite atom measures, by bisection on the
-    corridor width over [0, 1]."""
+    corridor width over [0, 1].  The CDFs at the own atoms do not depend on
+    the width, so they are computed once."""
     _require_normalized(m1, m2)
-    if _corridor_feasible(m1, m2, 0.0):
+    own1 = m1.cdf(m1.locations)
+    own2 = m2.cdf(m2.locations)
+    if _corridor_feasible(m1, m2, own1, own2, 0.0):
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _corridor_feasible(m1, m2, mid):
+        if _corridor_feasible(m1, m2, own1, own2, mid):
             hi = mid
         else:
             lo = mid

@@ -14,8 +14,6 @@ makes the shift identity on the cosine series exact instead of merely close.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +30,6 @@ __all__ = [
     "sample_environment",
     "redraw_phases",
     "default_series_length",
-    "circulant_limit_value",
-    "circulant_limit_samples",
 ]
 
 # Dyadic grid resolution for phases/frequencies; see module docstring.
@@ -306,39 +302,3 @@ def default_series_length(alpha: float, rel_tol: float = 1e-4, cap: int = 100_00
             return j
         j *= 2
     return cap
-
-
-def circulant_limit_value(gamma, u, alpha: float) -> float:
-    """One draw of the circulant limiting law:
-    2 * sum_j gamma_j**(-1/alpha) * cos(2*pi*u_j)."""
-    gamma = np.asarray(gamma, dtype=float)
-    u = np.asarray(u, dtype=float)
-    coeff = gamma ** (-1.0 / alpha)
-    return 2.0 * math.fsum(coeff * np.cos(2.0 * np.pi * u))
-
-
-def circulant_limit_samples(env_count: int, j: int, params: AlphaParams, seed: RngSeed):
-    """Samples of the circulant limiting law under fresh (gamma, u) draws.
-
-    Returns a normalized point measure with env_count equally weighted
-    atoms.  For alpha >= 1 the series converges only conditionally and the
-    truncation bias at length j is uncontrolled; a warning reports the j
-    used.
-    """
-    from .spectra import PointMeasure
-
-    if env_count < 1:
-        raise ValueError("env_count must be >= 1")
-    if params.alpha >= 1.0:
-        warnings.warn(
-            "series is conditionally convergent for alpha >= 1; "
-            f"truncation bias at length j={j} is uncontrolled",
-            stacklevel=2,
-        )
-    rng = seed.generator()
-    atoms = np.empty(env_count)
-    for i in range(env_count):
-        gamma = np.cumsum(rng.standard_exponential(j))
-        u = _dyadic_uniform(rng, j, _PHASE_BITS)
-        atoms[i] = circulant_limit_value(gamma, u, params.alpha)
-    return PointMeasure.from_atoms(atoms, np.full(env_count, 1.0 / env_count))

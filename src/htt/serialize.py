@@ -28,7 +28,6 @@ __all__ = [
     "load_json",
     "save_matrix",
     "load_matrix",
-    "save_matrix_csv",
     "save_measure_csv",
     "load_measure_csv",
     "histogram",
@@ -107,14 +106,6 @@ def load_matrix(path) -> np.ndarray:
         dtype = "<c16" if ncomp == 2 else "<f8"
         flat = np.fromfile(fh, dtype=dtype, count=int(rows * cols))
     return flat.reshape(int(rows), int(cols)).astype(flat.dtype, copy=False)
-
-
-def save_matrix_csv(path, a: np.ndarray):
-    """Debug export; complex matrices are written as re+imj pairs."""
-    if np.iscomplexobj(a):
-        np.savetxt(path, a, delimiter=",", fmt="%.17g%+.17gj")
-    else:
-        np.savetxt(path, a, delimiter=",", fmt="%.17g")
 
 
 def save_measure_csv(path, m: PointMeasure):

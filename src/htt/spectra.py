@@ -9,6 +9,7 @@ ESD or a spectral measure; all distances in :mod:`htt.metrics` act on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ __all__ = [
     "eig_hermitian",
     "esd",
     "spectral_measure_at",
-    "vector_moment",
     "stieltjes",
     "window_measure_at_unit_vector",
     "mc_limit_measure",
@@ -83,17 +83,28 @@ class PointMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(self.weights)
+
     def cdf(self, x, side: str = "right") -> np.ndarray:
         """Right-continuous CDF at x; side='left' gives the left limit."""
-        cum = np.cumsum(self.weights)
         idx = np.searchsorted(self.locations, x, side=side)
-        return np.where(idx > 0, cum[np.maximum(idx, 1) - 1], 0.0)
+        return np.where(idx > 0, self._cumulative[np.maximum(idx, 1) - 1], 0.0)
 
     def mean(self) -> float:
         return float(self.weights @ self.locations)
 
     def moment(self, r: int) -> float:
         return float(self.weights @ self.locations**r)
+
+    def mirrored(self) -> "PointMeasure":
+        """The measure averaged with its mirror image x -> -x (replica ids
+        are dropped, so coinciding atoms merge)."""
+        return PointMeasure.from_atoms(
+            np.concatenate([self.locations, -self.locations]),
+            np.concatenate([self.weights, self.weights]) / 2.0,
+        )
 
     def reflected(self) -> "PointMeasure":
         """Mirror image x -> -x."""
@@ -148,17 +159,6 @@ def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     )
 
 
-def vector_moment(a: np.ndarray, v: np.ndarray, r: int) -> float:
-    """<v, a^r v> by repeated matrix-vector products."""
-    if r < 0:
-        raise ValueError(f"moment order must be >= 0, got {r}")
-    w = np.asarray(v).astype(complex)
-    for _ in range(r):
-        w = a @ w
-    out = np.vdot(v, w)
-    return float(out.real)
-
-
 def stieltjes(m: PointMeasure, z: complex) -> complex:
     """sum_i w_i / (x_i - z) for non-real z.  Maps the upper half-plane to
     itself (Herglotz)."""
@@ -206,11 +206,9 @@ def _limit_measure_replica(
         window = operator_window(env, levels)
         measure = window_measure_at_unit_vector(window, core_radius=core)
         if symmetrize:
-            locs += [measure.locations, -measure.locations]
-            wts += [measure.weights / 2.0, measure.weights / 2.0]
-        else:
-            locs.append(measure.locations)
-            wts.append(measure.weights)
+            measure = measure.mirrored()
+        locs.append(measure.locations)
+        wts.append(measure.weights)
         env = redraw_phases(env, rng)
     return np.concatenate(locs), np.concatenate(wts)
 

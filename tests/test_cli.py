@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from htt.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
 
 
@@ -27,6 +29,24 @@ def test_config_error_exit_code(tmp_path):
     cfg.write_text("unknown_key = 3\n")
     code = main(["esd", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("esd", "alpha = 3\n"),
+        ("ladder", "l_list = 0\n"),
+        ("esd", "n_list = 16.5\n"),
+        ("ladder", "n_list = 8\nreplicas = 0\n"),
+    ],
+    ids=["alpha", "band-width", "size", "replicas"],
+)
+def test_invalid_config_exits_before_work(tmp_path, command, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

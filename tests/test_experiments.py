@@ -88,11 +88,11 @@ class TestReport:
         assert "tolerances" in prov
 
     def test_hash_ignores_tolerance_order(self):
-        a = ExperimentConfig("limit", tolerances={"a": 1, "b": 2})
-        b = ExperimentConfig("limit", tolerances={"b": 2, "a": 1})
+        a = ExperimentConfig("esd", tolerances={"a": 1, "b": 2})
+        b = ExperimentConfig("esd", tolerances={"b": 2, "a": 1})
         assert a == b
         assert _config_hash(a) == _config_hash(b)
-        assert _config_hash(a) != _config_hash(ExperimentConfig("limit", tolerances={"a": 1}))
+        assert _config_hash(a) != _config_hash(ExperimentConfig("esd", tolerances={"a": 1}))
 
     def test_reproducible_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -167,10 +167,10 @@ class TestLadder:
 
 class TestLimitRun:
     def test_requires_three_sizes(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="limit", n_list=(8, 16), out_dir=str(tmp_path)
-        )
         with pytest.raises(ValueError):
+            cfg = ExperimentConfig(
+                experiment="limit", n_list=(8, 16), out_dir=str(tmp_path)
+            )
             run_limit_convergence(cfg)
 
     def test_small_run_structure(self, tmp_path):
@@ -208,10 +208,10 @@ class TestEquidistRun:
         assert any("degenerate" in note for note in report.notes)
 
     def test_rejects_many_coordinates(self, tmp_path):
-        cfg = ExperimentConfig(
-            experiment="equidist", n_list=(100,), top_coords=9, out_dir=str(tmp_path)
-        )
         with pytest.raises(ValueError):
+            cfg = ExperimentConfig(
+                experiment="equidist", n_list=(100,), top_coords=9, out_dir=str(tmp_path)
+            )
             run_equidistribution(cfg)
 
     def test_small_run(self, tmp_path):
@@ -230,6 +230,6 @@ class TestEquidistRun:
 
 class TestDispatch:
     def test_unknown_experiment(self):
-        cfg = ExperimentConfig(experiment="nope")
         with pytest.raises(ValueError):
+            cfg = ExperimentConfig(experiment="nope")
             run_experiment(cfg)

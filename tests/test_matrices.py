@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htt.matrices import (
     TruncationLevels,
-    approx_eigs,
     band_truncate,
     build_circulant,
     build_toeplitz,
@@ -12,8 +15,10 @@ from htt.matrices import (
     cosine_spectrum,
     dft_matrix,
     projection_matrix,
+    projection_symbol,
     sandwich,
-    topk_spectrum,
+    stage_eigvals,
+    topk_coefficients,
 )
 from htt.sampler import AlphaParams, RngSeed, sample_entries
 
@@ -114,16 +119,16 @@ class TestApproxEigs:
     def test_shift_is_b0(self):
         e = _entries(12, seed=5)
         np.testing.assert_allclose(
-            approx_eigs(e) - circulant_eigs(e), np.full(24, e.b[0]), atol=1e-12
+            cosine_spectrum(e.b) - circulant_eigs(e), np.full(24, e.b[0]), atol=1e-12
         )
 
     def test_identity_symbol_doubles(self):
         e = _fixed_entries([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(approx_eigs(e), np.full(6, 2.0), atol=1e-12)
+        np.testing.assert_allclose(cosine_spectrum(e.b), np.full(6, 2.0), atol=1e-12)
 
     def test_zero_frequency_is_full_sum(self):
         e = _entries(10, seed=6)
-        assert abs(approx_eigs(e)[0] - 2 * e.b.sum()) < 1e-10
+        assert abs(cosine_spectrum(e.b)[0] - 2 * e.b.sum()) < 1e-10
 
 
 class TestProjection:
@@ -206,14 +211,14 @@ class TestClipAndTopK:
     def test_full_k_equals_clipped_spectrum(self):
         e = _entries(32, seed=7)
         m = 1.5
-        full = topk_spectrum(e, m, 32)
+        full = cosine_spectrum(topk_coefficients(e, m, 32))
         ref = cosine_spectrum(clip_entries(e.b, m))
         np.testing.assert_allclose(full, ref, atol=1e-10)
 
     def test_single_term(self):
         e = _entries(16, seed=8)
         m = 2.0
-        d = topk_spectrum(e, m, 1)
+        d = cosine_spectrum(topk_coefficients(e, m, 1))
         s = e.order[0]
         val = clip_entries(e.b[[s]], m)[0]
         k = np.arange(32)
@@ -228,7 +233,7 @@ class TestClipAndTopK:
             e = _entries(64, seed=seed, alpha=0.6)
             m = 1.2
             d_m = cosine_spectrum(clip_entries(e.b, m))
-            d_mk = topk_spectrum(e, m, k)
+            d_mk = cosine_spectrum(topk_coefficients(e, m, k))
             lhs = np.sum((d_m - d_mk) ** 2)
             tail = clip_entries(e.sorted_abs[k:], m)
             rhs = 4 * 64 * np.sum(tail**2)
@@ -239,9 +244,9 @@ class TestClipAndTopK:
     def test_topk_rejects(self):
         e = _entries(8, seed=1)
         with pytest.raises(ValueError):
-            topk_spectrum(e, 1.0, 0)
+            topk_coefficients(e, 1.0, 0)
         with pytest.raises(ValueError):
-            topk_spectrum(e, 1.0, 9)
+            topk_coefficients(e, 1.0, 9)
 
 
 class TestSandwich:
@@ -255,7 +260,7 @@ class TestSandwich:
 
     def test_hermitian(self):
         e = _entries(20, seed=10)
-        h = sandwich(projection_matrix(20), approx_eigs(e))
+        h = sandwich(projection_matrix(20), cosine_spectrum(e.b))
         assert np.abs(h - h.conj().T).max() < 1e-12
 
     def test_dimension_mismatch(self):
@@ -273,13 +278,66 @@ class TestSandwich:
             assert np.abs(lhs - rhs).max() <= 1e-8
 
 
+@st.composite
+def coefficients(draw):
+    """Real coefficient vectors of length 1..48, some sparse, some with
+    c_0 = 0."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    c = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        c = np.where(keep, c, 0.0)
+    if draw(st.booleans()):
+        c[0] = 0.0
+    return c
+
+
+def _band(n, l):
+    """Projection symbol and dense band truncation at (n, l), and whether
+    each warned that the band covers the whole matrix."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q = projection_symbol(n, l)
+        q_warned = len(caught)
+        pl = band_truncate(projection_matrix(n), l)
+    return q, pl, q_warned, len(caught) - q_warned
+
+
+class TestStageSpectra:
+    """Circulant-basis stages against the dense complex oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=48), st.data())
+    def test_projection_symbol_is_band_spectrum(self, n, data):
+        l = data.draw(st.integers(min_value=0, max_value=n + 2))
+        q, pl, q_warned, dense_warned = _band(n, l)
+        np.testing.assert_allclose(np.sort(q), np.linalg.eigvalsh(pl), rtol=0, atol=1e-12)
+        assert q_warned == dense_warned == (l >= n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(coefficients(), st.data())
+    def test_stage_matches_sandwich(self, c, data):
+        n = c.size
+        l = data.draw(st.integers(min_value=0, max_value=n + 2))
+        q, pl, _, _ = _band(n, l)
+        # d_k = 2 sum_j c_j cos(pi j k / N), summed directly
+        d = 2.0 * np.cos(np.pi * np.outer(np.arange(2 * n), np.arange(n)) / n) @ c
+        tol = 1e-12 * max(1.0, np.abs(c).sum())
+        for got, p in ((stage_eigvals(c), projection_matrix(n)), (stage_eigvals(c, q), pl)):
+            want = np.linalg.eigvalsh(sandwich(p, d))
+            np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
+
+    def test_untruncated_stage_ends_in_exact_zeros(self):
+        c = _entries(12, seed=4).b
+        np.testing.assert_array_equal(stage_eigvals(c)[12:], np.zeros(12))
+
+
 class TestTruncationLevels:
     def test_coupled(self):
         lv = TruncationLevels.coupled(512)
         assert lv.m == 512.0 ** (1.0 / 9.0)
         assert lv.k == round(512.0 ** (1.0 / 9.0))
         assert lv.w == 8 * 512
-        assert lv.is_coupled()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htt.metrics import (
-    CdfGrid,
     ks_distance,
     levy_distance,
     log_mgf,
@@ -102,15 +101,6 @@ class TestKs:
         m1 = PointMeasure.from_atoms([0.0, 1.0], [0.5, 0.5])
         m2 = PointMeasure.from_atoms([0.0, 1.0], [0.1, 0.9])
         assert abs(ks_distance(m1, m2) - 0.4) < 1e-15
-
-
-class TestCdfGrid:
-    def test_merge(self):
-        g = CdfGrid.merge(_delta(0.0), _delta(1.0))
-        np.testing.assert_array_equal(g.points, [0.0, 1.0])
-        np.testing.assert_array_equal(g.cdf1, [1.0, 1.0])
-        np.testing.assert_array_equal(g.cdf2, [0.0, 1.0])
-        assert g.cdf1[-1] == g.cdf2[-1] == 1.0
 
 
 class TestMgf:

@@ -11,8 +11,6 @@ from htt.sampler import (
     RngSeed,
     _coupled_layout,
     _place_ranks,
-    circulant_limit_samples,
-    circulant_limit_value,
     coupled_entry_draws,
     default_series_length,
     entries_from_uniforms,
@@ -283,24 +281,3 @@ class TestSeriesLength:
 
     def test_cap_binds_near_one(self):
         assert default_series_length(0.95) == 100_000
-
-
-class TestCirculantLimit:
-    def test_single_term_values(self):
-        # one-term series: 2*cos(2*pi*u)
-        assert circulant_limit_value([1.0], [0.0], 0.5) == 2.0
-        assert abs(circulant_limit_value([1.0], [0.25], 0.5)) < 1e-15
-
-    def test_sample_mean_symmetric(self):
-        m = circulant_limit_samples(10_000, 200, AlphaParams(0.5), RngSeed(3))
-        draws = m.locations
-        stderr = draws.std() / np.sqrt(draws.size)
-        assert abs(np.average(m.locations, weights=m.weights)) <= 3 * stderr
-
-    def test_warns_conditionally_convergent(self):
-        with pytest.warns(UserWarning):
-            circulant_limit_samples(2, 50, AlphaParams(1.5), RngSeed(0))
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            circulant_limit_samples(0, 10, AlphaParams(0.5), RngSeed(0))
