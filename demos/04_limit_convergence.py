@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from htt import AlphaParams, RngSeed, build_toeplitz, esd, sample_entries
+from htt import RngSeed, esd, sample_entries, toeplitz_eigvalsh
 from htt.experiments import ExperimentConfig, reference_limit_measure
 from htt.metrics import levy_distance
 from htt.plots import emit_plots
@@ -36,7 +36,7 @@ for i, n in enumerate(sizes):
     locs, wts = [], []
     for r in range(replicas):
         entries = sample_entries(n, params, RngSeed(4).with_stream(1000 * (i + 1) + r))
-        m = esd(np.linalg.eigvalsh(build_toeplitz(entries)))
+        m = esd(toeplitz_eigvalsh(entries.b))
         locs.append(m.locations)
         wts.append(m.weights / replicas)
     pooled = PointMeasure.from_atoms(np.concatenate(locs), np.concatenate(wts))

@@ -24,6 +24,7 @@ from .matrices import (
     projection_symbol,
     sandwich,
     stage_eigvals,
+    toeplitz_eigvalsh,
     topk_coefficients,
 )
 from .limit_operator import (

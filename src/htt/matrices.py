@@ -24,6 +24,15 @@ with eigenvalues d, and without truncation its spectrum is that of the N x N
 Toeplitz corner of C plus N zeros.  ``stage_eigvals`` uses these real forms;
 ``projection_matrix``, ``band_truncate``, ``dft_matrix`` and ``sandwich``
 build the dense complex objects they replace and serve as oracles.
+
+Every symmetric Toeplitz matrix is centrosymmetric (JTJ = T, J the
+reversal), and every banded stage commutes with the reflection
+k -> (N + 1 - k) mod 2N, which fixes q_l and the circulant C.  In the basis
+of symmetric and antisymmetric combinations of mirrored coordinates
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976) each splits into an even
+and an odd real block of about half the size; ``toeplitz_eigvalsh`` and
+``stage_eigvals`` solve the two blocks, and ``build_toeplitz`` remains the
+dense oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from .sampler import EntrySequence
 __all__ = [
     "TruncationLevels",
     "build_toeplitz",
+    "toeplitz_eigvalsh",
     "build_circulant",
     "circulant_symbol",
     "circulant_eigs",
@@ -83,6 +93,40 @@ class TruncationLevels:
 def build_toeplitz(entries: EntrySequence) -> np.ndarray:
     """N x N symmetric Toeplitz matrix T(k, l) = b_|k-l|."""
     return scipy.linalg.toeplitz(entries.b)
+
+
+def _split_eigvalsh(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Sorted union of the spectra of the even and odd blocks."""
+    values = [np.linalg.eigvalsh(block) for block in (even, odd) if block.size]
+    return np.sort(np.concatenate(values))
+
+
+def toeplitz_eigvalsh(b) -> np.ndarray:
+    """Sorted eigenvalues of the symmetric Toeplitz matrix T(k, l) = b_|k-l|,
+    from two blocks of about half the size, without building T.
+
+    With m = ceil(n/2), A = toeplitz(b[:m]) and the Hankel
+    H(i, j) = b[n-1-i-j], the even block is A + H and the odd block A - H.
+    For odd n the middle coordinate is its own mirror image: it is the last
+    index of both, its row and column of A + H are scaled by 1/sqrt(2)
+    (giving sqrt(2) b_(m-1-i) off the diagonal and b_0 on it), and it is
+    dropped from A - H, where it vanishes.
+    """
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if n == 1:
+        return b.copy()
+    m = (n + 1) // 2
+    toep = scipy.linalg.toeplitz(b[:m])
+    tail = b[::-1]
+    hank = scipy.linalg.hankel(tail[:m], tail[m - 1 : 2 * m - 1])
+    even = toep + hank
+    odd = toep - hank
+    if n % 2:
+        even[-1, :] *= np.sqrt(0.5)
+        even[:, -1] *= np.sqrt(0.5)
+        odd = odd[:-1, :-1]
+    return _split_eigvalsh(even, odd)
 
 
 def circulant_symbol(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarray:
@@ -226,18 +270,37 @@ def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     coefficient vector c of length N.
 
     ``band`` is the projection symbol q_l (``projection_symbol(N, l)``), or
-    None for the untruncated P.  With q_l the stage is unitarily similar to
-    diag(q_l) C diag(q_l), C the real symmetric circulant of
-    ``_cosine_symbol(c)``; untruncated, its spectrum is that of C's N x N
-    Toeplitz corner followed by N exact zeros (the corner embedding).
+    None for the untruncated P.  Untruncated, the spectrum is that of the
+    N x N Toeplitz corner of C, the real symmetric circulant of
+    ``_cosine_symbol(c)``, followed by N exact zeros (the corner embedding).
+    With q_l the stage is unitarily similar to M = diag(q_l) C diag(q_l),
+    which commutes with the reflection k -> (N + 1 - k) mod 2N.  On the
+    coordinates k_0 + t, k_0 = N//2 + 1, M(k_0 + t, mirror of k_0 + u) is
+    q_t q_u s_((t + u + 1 - N % 2) mod 2N), s the symbol, so the even and
+    odd blocks are q q^T * (toeplitz(s) +- that Hankel), each N x N for
+    even N.  For odd N the ends t = 0 and t = N are the two fixed points:
+    they join the even block with weight 1/sqrt(2) and drop out of the odd
+    one, giving blocks of N + 1 and N - 1.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     symbol = _cosine_symbol(c)
     if band is None:
-        corner = np.linalg.eigvalsh(scipy.linalg.toeplitz(symbol[:n]))
-        return np.concatenate([corner, np.zeros(n)])
-    return np.linalg.eigvalsh(band[:, None] * scipy.linalg.circulant(symbol) * band[None, :])
+        return np.concatenate([toeplitz_eigvalsh(symbol[:n]), np.zeros(n)])
+    parity = n % 2
+    size = n + parity
+    t = np.arange(size)
+    q = band[(n // 2 + 1 + t) % (2 * n)]
+    if parity:
+        q[[0, -1]] *= np.sqrt(0.5)
+    toep = scipy.linalg.toeplitz(symbol[:size])
+    hank = symbol[(t[:, None] + t[None, :] + 1 - parity) % (2 * n)]
+    weights = q[:, None] * q[None, :]
+    even = weights * (toep + hank)
+    odd = weights * (toep - hank)
+    if parity:
+        odd = odd[1:-1, 1:-1]
+    return _split_eigvalsh(even, odd)
 
 
 def sandwich(p: np.ndarray, d: np.ndarray) -> np.ndarray:

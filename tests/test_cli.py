@@ -38,8 +38,15 @@ def test_config_error_exit_code(tmp_path):
         ("ladder", "l_list = 0\n"),
         ("esd", "n_list = 16.5\n"),
         ("ladder", "n_list = 8\nreplicas = 0\n"),
+        ("ladder", "n_list = 8\nm = 0\n"),
+        ("ladder", "n_list = 8\nk = 0\n"),
+        ("properties", "l = -2\n"),
+        ("limit", "n_list = 8, 16, 32\nw = 0\n"),
+        ("properties", "j = 2.5\n"),
+        ("properties", "w = 8\nl = 17\n"),
     ],
-    ids=["alpha", "band-width", "size", "replicas"],
+    ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
+         "band-level", "window", "series-length", "band-beyond-window"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

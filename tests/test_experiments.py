@@ -10,15 +10,19 @@ from htt.experiments import (
     _config_hash,
     config_from_mapping,
     corner_embedding_deviation,
+    interlacing_violation,
     ladder_distances,
     parse_config_text,
     run_equidistribution,
     run_esd,
     run_experiment,
     run_limit_convergence,
+    run_property_suite,
 )
-from htt.matrices import TruncationLevels
+from htt.matrices import TruncationLevels, build_circulant, build_toeplitz
 from htt.sampler import AlphaParams, RngSeed, sample_entries
+from htt.serialize import load_measure_csv
+from htt.spectra import quenched_sub_measure
 
 
 class TestConfigParsing:
@@ -130,6 +134,8 @@ class TestEsdRun:
         assert (tmp_path / "esd_n16_hist.csv").exists()
         assert (tmp_path / "esd_n16_r1.csv").exists()
         assert "runtime_seconds" in report.provenance
+        assert report.provenance["numpy_version"] == np.__version__
+        assert report.provenance["peak_rss_mb"] > 0
 
 
 class TestLadder:
@@ -197,6 +203,39 @@ class TestLimitRun:
         assert refl.observed <= 1e-12
         assert (tmp_path / "limit_reference.csv").exists()
         assert (tmp_path / "limit_esd_n64_hist.csv").exists()
+
+
+class TestPropertySuite:
+    def test_zscore_with_identical_replica_asymmetry(self, tmp_path):
+        # at x = 2 both replicas' raw CDF asymmetry is the same rounding
+        # residue, so its standard error is 0 and the z-score is decided on
+        # the mean alone
+        cfg = ExperimentConfig(
+            experiment="properties", alpha=0.9, w=8, l=2, n_list=(16,),
+            replicas=2, seed=20256739, out_dir=str(tmp_path),
+        )
+        report = run_property_suite(cfg)
+        raw = load_measure_csv(tmp_path / "properties_raw_measure.csv")
+        d = [s.cdf(-2.0) + s.cdf(2.0, side="left") - 1.0
+             for s in (quenched_sub_measure(raw, r) for r in range(2))]
+        assert d[0] == d[1] != 0.0 and abs(d[0]) < 1e-15
+        check = next(c for c in report.checks if c.name == "symmetry_raw_zscore")
+        assert check.passed and check.observed < 4.0
+
+
+class TestInterlacing:
+    def test_matches_dense_spectra(self):
+        for n in (32, 33):
+            entries = sample_entries(n, AlphaParams(0.7, 0.4), RngSeed(21))
+            got = interlacing_violation(entries, np.random.default_rng(5))
+            # the same wrap entry, then dense Toeplitz and 2N circulant solves
+            rng = np.random.default_rng(5)
+            sign = 1.0 if rng.random() < entries.p else -1.0
+            wrap = sign * (1.0 - rng.random()) ** (-1.0 / entries.alpha) / entries.c_n
+            g = np.linalg.eigvalsh(build_circulant(entries, wrap_entry=wrap))
+            t = np.linalg.eigvalsh(build_toeplitz(entries))
+            want = max(np.max(g[:n] - t), np.max(t - g[n:]))
+            assert abs(got - want) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
 
 
 class TestEquidistRun:

@@ -18,6 +18,7 @@ from htt.matrices import (
     projection_symbol,
     sandwich,
     stage_eigvals,
+    toeplitz_eigvalsh,
     topk_coefficients,
 )
 from htt.sampler import AlphaParams, RngSeed, sample_entries
@@ -279,10 +280,10 @@ class TestSandwich:
 
 
 @st.composite
-def coefficients(draw):
-    """Real coefficient vectors of length 1..48, some sparse, some with
-    c_0 = 0."""
-    n = draw(st.integers(min_value=1, max_value=48))
+def coefficients(draw, max_size=48):
+    """Real coefficient vectors of length 1..max_size, some sparse, some
+    with c_0 = 0."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
     c = np.array(draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -301,6 +302,24 @@ def _band(n, l):
         q_warned = len(caught)
         pl = band_truncate(projection_matrix(n), l)
     return q, pl, q_warned, len(caught) - q_warned
+
+
+class TestToeplitzEigvalsh:
+    """Half-size solves against the dense N x N oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(coefficients(max_size=64))
+    def test_matches_dense(self, b):
+        want = np.linalg.eigvalsh(build_toeplitz(_fixed_entries(b)))
+        tol = 1e-13 * max(1.0, np.abs(b).sum())
+        np.testing.assert_allclose(toeplitz_eigvalsh(b), want, rtol=0, atol=tol)
+
+    def test_heavy_tailed_entries(self):
+        for n in (255, 256):
+            e = _entries(n, seed=n, alpha=0.5)
+            want = np.linalg.eigvalsh(build_toeplitz(e))
+            tol = 1e-13 * max(1.0, np.abs(e.b).sum())
+            np.testing.assert_allclose(toeplitz_eigvalsh(e.b), want, rtol=0, atol=tol)
 
 
 class TestStageSpectra:
@@ -326,6 +345,16 @@ class TestStageSpectra:
         for got, p in ((stage_eigvals(c), projection_matrix(n)), (stage_eigvals(c, q), pl)):
             want = np.linalg.eigvalsh(sandwich(p, d))
             np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
+
+    def test_split_stage_at_larger_sizes(self):
+        # odd and even N against the dense sandwich
+        for n in (17, 64, 255):
+            for l in (0, 1, 8, n - 1):
+                c = clip_entries(_entries(n, seed=l + 3, alpha=0.6).b, 4.0)
+                q, pl, _, _ = _band(n, l)
+                want = np.linalg.eigvalsh(sandwich(pl, cosine_spectrum(c)))
+                tol = 1e-12 * max(1.0, np.abs(c).sum())
+                np.testing.assert_allclose(stage_eigvals(c, q), want, rtol=0, atol=tol)
 
     def test_untruncated_stage_ends_in_exact_zeros(self):
         c = _entries(12, seed=4).b

@@ -1,82 +1,14 @@
 import numpy as np
 import pytest
 
-from htt.sampler import AlphaParams, RngSeed, sample_entries, sample_environment
 from htt.serialize import (
-    entries_from_dict,
-    entries_to_dict,
-    environment_from_dict,
-    environment_to_dict,
     histogram,
     load_histogram_csv,
-    load_json,
-    load_matrix,
     load_measure_csv,
     save_histogram_csv,
-    save_json,
-    save_matrix,
     save_measure_csv,
 )
 from htt.spectra import PointMeasure
-
-
-class TestEnvironmentJson:
-    def test_schema_field_names(self):
-        env = sample_environment(5, AlphaParams(0.7, 0.3), RngSeed(1))
-        d = environment_to_dict(env)
-        assert set(d) == {"alpha", "p", "gamma", "zeta", "u", "eps"}
-
-    def test_round_trip_exact(self, tmp_path):
-        env = sample_environment(20, AlphaParams(0.7, 0.3), RngSeed(2))
-        path = tmp_path / "env.json"
-        save_json(path, environment_to_dict(env))
-        back = environment_from_dict(load_json(path))
-        for f in ("gamma", "zeta", "u", "eps"):
-            np.testing.assert_array_equal(getattr(env, f), getattr(back, f))
-        assert back.alpha == env.alpha and back.p == env.p
-
-
-class TestEntriesJson:
-    def test_schema_field_names(self):
-        e = sample_entries(4, AlphaParams(0.5), RngSeed(3))
-        d = entries_to_dict(e)
-        assert set(d) == {"alpha", "p", "a", "c_n", "b", "order"}
-
-    def test_round_trip_exact(self, tmp_path):
-        e = sample_entries(16, AlphaParams(0.5, 0.8), RngSeed(4))
-        path = tmp_path / "entries.json"
-        save_json(path, entries_to_dict(e))
-        back = entries_from_dict(load_json(path))
-        np.testing.assert_array_equal(back.a, e.a)
-        np.testing.assert_array_equal(back.b, e.b)
-        np.testing.assert_array_equal(back.order, e.order)
-        np.testing.assert_array_equal(back.sorted_abs, e.sorted_abs)
-        assert back.c_n == e.c_n
-
-
-class TestMatrixBinary:
-    def test_real_round_trip(self, tmp_path):
-        a = np.arange(12.0).reshape(3, 4)
-        path = tmp_path / "m.bin"
-        save_matrix(path, a)
-        back = load_matrix(path)
-        np.testing.assert_array_equal(back, a)
-        assert back.dtype == np.float64
-
-    def test_complex_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        path = tmp_path / "c.bin"
-        save_matrix(path, a)
-        np.testing.assert_array_equal(load_matrix(path), a)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "h.bin"
-        save_matrix(path, np.zeros((2, 3)))
-        raw = path.read_bytes()
-        rows, cols, ncomp = np.frombuffer(raw[:24], dtype="<u8")
-        assert (rows, cols, ncomp) == (2, 3, 1)
-        assert len(raw) == 24 + 2 * 3 * 8
 
 
 class TestMeasureCsv:
