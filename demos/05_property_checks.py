@@ -28,7 +28,7 @@ from htt import (
 )
 from htt.metrics import mgf, subgaussian_bound, support_bound
 from htt.sampler import default_series_length
-from htt.spectra import PointMeasure, window_measure_at_unit_vector
+from htt.spectra import window_measure_at_unit_vector
 
 # interlacing with an independent wrap entry
 params = AlphaParams(alpha=0.5, p=0.5)
@@ -49,11 +49,8 @@ hits = 0
 for r in range(10):
     env = sample_environment(j, params, RngSeed(22, r))
     window = operator_window(env, levels)
-    m = window_measure_at_unit_vector(window, core_radius=levels.w - levels.l)
-    sym = PointMeasure.from_atoms(
-        np.concatenate([m.locations, -m.locations]),
-        np.concatenate([m.weights, m.weights]) / 2.0,
-    )
+    m = window_measure_at_unit_vector(window, levels.core)
+    sym = m.mirrored()
     ok = all(mgf(sym, b) <= subgaussian_bound(env, b, 0.5) for b in (0.5, 1.0))
     inside = np.abs(m.locations).max() <= support_bound(env, 0.5)
     hits += ok and inside

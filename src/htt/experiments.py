@@ -18,7 +18,7 @@ import numbers
 import resource
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +110,6 @@ _KS_CRITICAL_1PCT = 1.628
 # the raw symmetry check agrees exactly (zero standard error)
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
-EXPERIMENTS = ("esd", "ladder", "limit", "properties", "equidist")
-
-
 def _positive_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
@@ -126,7 +123,6 @@ class ExperimentConfig:
     p: float = 0.5
     n_list: tuple = (256,)
     l_list: tuple = (16,)
-    coupled: bool = True
     m: float | None = None
     k: int | None = None
     l: int | None = None
@@ -168,6 +164,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if self.l is not None and self.w is not None and self.l > 2 * self.w:
             raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * self.w}")
+        if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
+            raise ValueError(f"top-k k = {self.k} exceeds the smallest size {min(self.n_list)}")
 
     def params(self) -> AlphaParams:
         return AlphaParams(self.alpha, self.p)
@@ -178,16 +176,24 @@ class ExperimentConfig:
     def series_length(self) -> int:
         return self.j if self.j is not None else default_series_length(self.alpha)
 
-    def levels_for(self, l: int, w: int | None = None) -> TruncationLevels:
-        """Truncation levels at band width l: coupled unless explicit m, k
-        were configured."""
+    def levels_for(self, l: int) -> TruncationLevels:
+        """Ladder levels at band width l: clip and top-k coupled to l, each
+        replaced by an explicit m or k."""
+        coupled = TruncationLevels.coupled(l, w=self.w, j=self.series_length())
+        return self.with_explicit_levels(coupled)
+
+    def window_levels(self, default_w: int) -> TruncationLevels:
+        """Operator-window levels: half-width w (default_w unless set), band
+        l = w // 8 (at least 1) unless set, the full series, no clip."""
+        w = self.w if self.w is not None else default_w
+        l = self.l if self.l is not None else max(1, w // 8)
         j = self.series_length()
-        if self.coupled and self.m is None and self.k is None:
-            return TruncationLevels.coupled(l, w=w if w is not None else self.w, j=j)
-        m = self.m if self.m is not None else math.inf
-        k = self.k if self.k is not None else j
-        w_eff = w if w is not None else (self.w if self.w is not None else 8 * l)
-        return TruncationLevels(m=m, k=k, l=l, w=w_eff, j=j)
+        return TruncationLevels(m=math.inf, k=j, l=l, w=w, j=j)
+
+    def with_explicit_levels(self, levels: TruncationLevels) -> TruncationLevels:
+        """levels with a configured m or k in place of its own."""
+        explicit = {key: getattr(self, key) for key in ("m", "k") if getattr(self, key) is not None}
+        return replace(levels, **explicit)
 
     def tol(self, name: str) -> float:
         if name in self.tolerances:
@@ -202,10 +208,7 @@ class ExperimentConfig:
 
 def _parse_scalar(text: str):
     text = text.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null", ""):
+    if text.lower() in ("none", "null", ""):
         return None
     for cast in (int, float):
         try:
@@ -514,21 +517,11 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
 
 def reference_limit_measure(config: ExperimentConfig) -> PointMeasure:
     """Pooled Monte Carlo estimate of the limiting measure used as the
-    comparison target: generous levels (no clip, full series) unless the
-    config pins explicit ones."""
-    w = config.w if config.w is not None else 512
-    l = config.l if config.l is not None else max(1, w // 8)
-    j = config.series_length()
-    levels = TruncationLevels(
-        m=config.m if config.m is not None else math.inf,
-        k=config.k if config.k is not None else j,
-        l=l,
-        w=w,
-        j=j,
-    )
+    comparison target: window levels at w = 512 (no clip, full series), with
+    an explicit m or k replacing its level."""
     return mc_limit_measure(
         config.params(),
-        levels,
+        config.with_explicit_levels(config.window_levels(512)),
         replicas=config.ref_envs,
         inner=config.inner,
         seed=config.base_seed().with_stream(500_000),
@@ -661,10 +654,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     # CDF mirror identity outright; the raw estimate's asymmetry must be
     # statistically consistent with zero (4 standard errors over replicas)
     params = config.params()
-    j = config.series_length()
-    w = config.w if config.w is not None else 256
-    l = config.l if config.l is not None else max(1, w // 8)
-    levels = TruncationLevels(m=math.inf, k=j, l=l, w=w, j=j)
+    levels = config.window_levels(256)
     raw = mc_limit_measure(
         params,
         levels,
@@ -708,15 +698,14 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     for alpha in (0.5, 1.5):
         a_params = AlphaParams(alpha, config.p)
         a_j = default_series_length(alpha)
-        a_levels = TruncationLevels(m=math.inf, k=a_j, l=l, w=w, j=a_j)
+        a_levels = replace(levels, k=a_j, j=a_j)
         n_env = config.replicas
         frac_pass = {0.5: 0, 1.0: 0}
         for r in range(n_env):
             s = seed.with_stream(20_000 + 1000 * int(alpha * 2) + r)
             env = sample_environment(a_j, a_params, s)
             window = operator_window(env, a_levels)
-            core = a_levels.w - a_levels.l
-            measure = window_measure_at_unit_vector(window, core_radius=core)
+            measure = window_measure_at_unit_vector(window, a_levels.core)
             sym = measure.mirrored()
             for beta in (0.5, 1.0):
                 bound = subgaussian_bound(env, beta, alpha)
@@ -731,11 +720,12 @@ def run_property_suite(config: ExperimentConfig) -> Report:
                 direction=">=",
             )
 
-    # (c) bounded support below tail index 1: coupled truncation levels
+    # (c) bounded support below tail index 1: coupled truncation levels,
+    # band 64 unless set, capped at the window's reach
     a_params = AlphaParams(0.5, config.p)
     a_j = default_series_length(0.5)
-    c_levels = TruncationLevels.coupled(config.l if config.l is not None else 64,
-                                        w=w, j=a_j)
+    c_band = config.l if config.l is not None else min(64, 2 * levels.w)
+    c_levels = TruncationLevels.coupled(c_band, w=levels.w, j=a_j)
     violations = 0
     worst_ratio = 0.0
     for r in range(config.replicas):
@@ -755,17 +745,17 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     report.note(f"support check worst |eig|/radius ratio: {worst_ratio:.4f}")
 
     # (d) support growth above tail index 1: top window eigenvalue grows
-    # with the series length
+    # with the series length, in a window of half-width at most 128
     a_params = AlphaParams(1.5, config.p)
     k_list = (64, 512, 4096)
+    g_w = min(levels.w, 128)
     g_means = []
     n_growth = max(10, config.replicas // 5)
     for k_terms in k_list:
+        g_levels = replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
         tops = []
         for r in range(n_growth):
             env = sample_environment(k_list[-1], a_params, seed.with_stream(40_000 + r))
-            g_levels = TruncationLevels(m=math.inf, k=k_terms, l=l,
-                                        w=min(w, 128), j=k_list[-1])
             window = operator_window(env, g_levels)
             tops.append(np.abs(np.linalg.eigvalsh(window.matrix)).max())
         g_means.append(float(np.mean(tops)))
@@ -877,16 +867,18 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
 # dispatch
 
 
+EXPERIMENTS = {
+    "esd": run_esd,
+    "ladder": run_truncation_ladder,
+    "limit": run_limit_convergence,
+    "properties": run_property_suite,
+    "equidist": run_equidistribution,
+}
+
+
 def run_experiment(config: ExperimentConfig) -> Report:
-    runners = {
-        "esd": run_esd,
-        "ladder": run_truncation_ladder,
-        "limit": run_limit_convergence,
-        "properties": run_property_suite,
-        "equidist": run_equidistribution,
-    }
     t0 = time.perf_counter()
-    report = runners[config.experiment](config)
+    report = EXPERIMENTS[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)
     report.provenance["numpy_version"] = np.__version__
     report.provenance["scipy_version"] = scipy.__version__

@@ -71,7 +71,8 @@ class TruncationLevels:
 
     Coupled mode ties k = round(l**(1/9)) and m = l**(1/9) (m stays real
     before rounding), the scaling under which the matrix and operator
-    truncation errors vanish together.
+    truncation errors vanish together.  ``core`` is the radius that the
+    projected vector keeps inside the window.
     """
 
     m: float
@@ -83,6 +84,12 @@ class TruncationLevels:
     def __post_init__(self):
         if self.m <= 0 or self.k < 1 or self.l < 1 or self.w < 1 or self.j < 1:
             raise ValueError(f"all truncation levels must be positive: {self}")
+
+    @property
+    def core(self) -> int:
+        """w - l, so the band's reach stays inside the window; the whole
+        window when the band is at least as wide."""
+        return self.w - self.l if self.w > self.l else self.w
 
     @classmethod
     def coupled(cls, l: int, w: int | None = None, j: int = 10_000) -> "TruncationLevels":

@@ -168,23 +168,18 @@ def stieltjes(m: PointMeasure, z: complex) -> complex:
     return complex(np.sum(m.weights / (m.locations - z)))
 
 
-def window_measure_at_unit_vector(
-    window: OperatorWindow, core_radius: int | None = None
-) -> PointMeasure:
+def window_measure_at_unit_vector(window: OperatorWindow, core_radius: int) -> PointMeasure:
     """Spectral measure of a window at the projected basis vector.
 
     The vector sqrt(2) * (projection column at 0), taken in the window's
     gauge (see :mod:`htt.limit_operator`), is restricted to
-    |k| <= core_radius (default: half_width minus the band width margin is
-    the caller's business; None keeps the whole window) and renormalized.
+    |k| <= core_radius (``TruncationLevels.core``) and renormalized.
     """
     w = window.half_width
-    v = projection_unit_vector(w)
-    if core_radius is not None:
-        if not 1 <= core_radius <= w:
-            raise ValueError(f"core radius must lie in [1, {w}]")
-        ks = np.arange(-w, w + 1)
-        v = np.where(np.abs(ks) <= core_radius, v, 0.0)
+    if not 1 <= core_radius <= w:
+        raise ValueError(f"core radius must lie in [1, {w}]")
+    ks = np.arange(-w, w + 1)
+    v = np.where(np.abs(ks) <= core_radius, projection_unit_vector(w), 0.0)
     v = v / np.linalg.norm(v)
     return spectral_measure_at(window.matrix, v)
 
@@ -199,12 +194,11 @@ def _limit_measure_replica(
     """Atoms and weights (weights summing to `inner`) for one environment."""
     rng = seed.generator()
     env = _environment_from(rng, levels.j, params)
-    core = levels.w - levels.l if levels.w > levels.l else levels.w
     locs = []
     wts = []
     for _ in range(inner):
         window = operator_window(env, levels)
-        measure = window_measure_at_unit_vector(window, core_radius=core)
+        measure = window_measure_at_unit_vector(window, levels.core)
         if symmetrize:
             measure = measure.mirrored()
         locs.append(measure.locations)

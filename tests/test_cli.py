@@ -44,9 +44,13 @@ def test_config_error_exit_code(tmp_path):
         ("limit", "n_list = 8, 16, 32\nw = 0\n"),
         ("properties", "j = 2.5\n"),
         ("properties", "w = 8\nl = 17\n"),
+        ("ladder", "n_list = 16, 32\nk = 20\n"),
+        ("ladder", "n_list = 8\ncoupled = false\n"),
+        ("esd", "alpha = true\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
-         "band-level", "window", "series-length", "band-beyond-window"],
+         "band-level", "window", "series-length", "band-beyond-window",
+         "top-k-beyond-size", "coupled-key", "boolean"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
@@ -54,6 +58,27 @@ def test_invalid_config_exits_before_work(tmp_path, command, text):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\n"),
+        ("properties", "w = 16\nl = 16\nn_list = 16\nreplicas = 2\n"),
+        ("properties", "w = 130\nl = 260\nn_list = 16\nreplicas = 2\n"),
+        ("ladder", "n_list = 16\nl_list = 2, 4\nreplicas = 5\nm = 2\n"),
+    ],
+    ids=["support-band-beyond-window", "band-equals-window",
+         "growth-band-beyond-window", "ladder-clip-only"],
+)
+def test_accepted_config_runs_to_report(tmp_path, command, text):
+    # each of these configs once passed validation and then died mid-run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILURE)
+    assert (out / f"report_{command}.json").exists()
 
 
 def test_missing_config_file(tmp_path):

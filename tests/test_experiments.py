@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from htt.experiments import (
     run_property_suite,
 )
 from htt.matrices import TruncationLevels, build_circulant, build_toeplitz
-from htt.sampler import AlphaParams, RngSeed, sample_entries
+from htt.sampler import AlphaParams, RngSeed, default_series_length, sample_entries
 from htt.serialize import load_measure_csv
 from htt.spectra import quenched_sub_measure
 
@@ -31,7 +33,7 @@ class TestConfigParsing:
         # comment line
         alpha = 0.5
         replicas = 12
-        coupled = true
+        m = inf
         out_dir = results  # trailing comment
         n_list = 64, 128, 256
         tol_esd_identity = 1e-7
@@ -39,7 +41,7 @@ class TestConfigParsing:
         mapping = parse_config_text(text)
         assert mapping["alpha"] == 0.5
         assert mapping["replicas"] == 12
-        assert mapping["coupled"] is True
+        assert mapping["m"] == math.inf
         assert mapping["out_dir"] == "results"
         assert mapping["n_list"] == (64, 128, 256)
         cfg = config_from_mapping("esd", mapping)
@@ -60,17 +62,45 @@ class TestConfigParsing:
         assert cfg.n_list == (32,)
 
     def test_coupled_levels(self):
-        cfg = config_from_mapping("ladder", {"coupled": True})
+        cfg = config_from_mapping("ladder", {})
         lv = cfg.levels_for(512)
         assert lv.m == 512 ** (1.0 / 9.0)
         assert lv.k == round(512 ** (1.0 / 9.0))
 
     def test_explicit_levels(self):
         cfg = config_from_mapping(
-            "ladder", {"coupled": False, "m": 2.5, "k": 7, "w": 64, "j": 100}
+            "ladder", {"n_list": 16, "m": 2.5, "k": 7, "w": 64, "j": 100}
         )
         lv = cfg.levels_for(16)
         assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (2.5, 7, 16, 64, 100)
+
+    def test_one_explicit_level_keeps_the_other_coupled(self):
+        coupled = TruncationLevels.coupled(16)
+        lv = config_from_mapping("ladder", {"m": 2.5}).levels_for(16)
+        assert (lv.m, lv.k) == (2.5, coupled.k)
+        lv = config_from_mapping("ladder", {"n_list": 16, "k": 3}).levels_for(16)
+        assert (lv.m, lv.k) == (coupled.m, 3)
+
+    def test_window_levels(self):
+        lv = config_from_mapping("limit", {"n_list": (8, 16, 32), "alpha": 0.5}).window_levels(512)
+        assert (lv.m, lv.l, lv.w) == (math.inf, 64, 512)
+        assert lv.k == lv.j == default_series_length(0.5)
+        lv = config_from_mapping("properties", {"w": 4, "j": 50}).window_levels(256)
+        assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (math.inf, 50, 1, 4, 50)
+
+    def test_booleans_are_not_values(self):
+        assert parse_config_text("alpha = true")["alpha"] == "true"
+        with pytest.raises(ValueError):
+            config_from_mapping("esd", {"coupled": "false"})
+
+    def test_readme_lists_every_config_key(self):
+        # the README's key table names exactly the config fields, with the
+        # tolerances spelled tol_<name>; the experiment is the subcommand
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+        fields = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "tolerances"}
+        assert sorted(listed) == sorted(fields | {"tol_<name>"})
 
 
 class TestReport:

@@ -368,6 +368,12 @@ class TestTruncationLevels:
         assert lv.k == round(512.0 ** (1.0 / 9.0))
         assert lv.w == 8 * 512
 
+    def test_core_radius(self):
+        # w - l while the band is narrower than the window, else the window
+        assert TruncationLevels(m=1.0, k=1, l=3, w=16, j=1).core == 13
+        assert TruncationLevels(m=1.0, k=1, l=16, w=16, j=1).core == 16
+        assert TruncationLevels(m=1.0, k=1, l=20, w=16, j=1).core == 16
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncationLevels(m=0.0, k=1, l=1, w=1, j=1)
