@@ -1,8 +1,8 @@
 """Distances between atomic probability measures and the analytic bounds
 evaluated from an environment.
 
-The Levy distance is computed exactly (up to a 1e-12 bisection width) for
-finite atom measures; no grid approximation is involved, so acceptance
+The Levy distance is computed exactly for finite atom measures, in one
+sorted pass over the atoms; no grid approximation is involved, so acceptance
 checks may rely on small distance differences.
 """
 
@@ -25,7 +25,6 @@ __all__ = [
     "series_tail_estimate",
 ]
 
-_BISECTION_WIDTH = 1e-12
 # Deterministic stand-in gamma_j ~ j for the unsampled tail, padded by a
 # safety factor since individual arrival times fluctuate around j.
 _TAIL_SAFETY = 1.1
@@ -37,38 +36,34 @@ def _require_normalized(*measures: PointMeasure):
             raise ValueError("distances require normalized probability measures")
 
 
-def _corridor_feasible(m1: PointMeasure, m2: PointMeasure, own1, own2, eps: float) -> bool:
-    """Whether eps-corridors around either CDF contain the other; own1 and
-    own2 are each measure's CDF at its own atoms.
+def _one_sided_levy(m1: PointMeasure, m2: PointMeasure) -> float:
+    """Smallest eps with F2(x + eps) >= F1(x) - eps at every atom x of m1.
 
-    For step CDFs the supremum of F1(t - eps) - F2(t) over t is attained
-    immediately after an atom of m1 enters the shifted CDF, i.e. it equals
-    max_i [F1(x1_i) - F2(x1_i + eps)]; likewise with the roles swapped.
+    F2 equals C_k on [y_k, y_(k+1)), C_k the mass of m2's first k atoms
+    (y_0 = -inf, C_0 = 0), so atom x_i with own mass F1(x_i) needs
+    eps_i = min_k max(y_k - x_i, F1(x_i) - C_k).  The first term rises in k
+    and the second falls; the minimum sits where the nondecreasing y_k + C_k
+    crosses x_i + F1(x_i).  One searchsorted finds every crossing, and the
+    neighbours of each are checked too because the sums round.
     """
-    if np.any(own1 - eps > m2.cdf(m1.locations + eps)):
-        return False
-    if np.any(own2 - eps > m1.cdf(m2.locations + eps)):
-        return False
-    return True
+    x, own = m1.locations, m1.cdf(m1.locations)
+    y = np.concatenate(([-np.inf], m2.locations))
+    mass = np.concatenate(([0.0], m2.cdf(m2.locations)))
+    crossing = np.searchsorted(y + mass, x + own)
+    eps = np.full(x.shape, np.inf)
+    for k in (crossing - 1, crossing, crossing + 1):
+        k = np.clip(k, 0, len(y) - 1)
+        eps = np.minimum(eps, np.maximum(y[k] - x, own - mass[k]))
+    return float(eps.max())
 
 
 def levy_distance(m1: PointMeasure, m2: PointMeasure) -> float:
-    """Exact Levy distance between finite atom measures, by bisection on the
-    corridor width over [0, 1].  The CDFs at the own atoms do not depend on
-    the width, so they are computed once."""
+    """Exact Levy distance between finite atom measures: the larger of the
+    two one-sided corridor widths, clamped to [0, 1] (cumulative sums may
+    round above 1)."""
     _require_normalized(m1, m2)
-    own1 = m1.cdf(m1.locations)
-    own2 = m2.cdf(m2.locations)
-    if _corridor_feasible(m1, m2, own1, own2, 0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if _corridor_feasible(m1, m2, own1, own2, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    d = max(_one_sided_levy(m1, m2), _one_sided_levy(m2, m1))
+    return min(max(0.0, d), 1.0)
 
 
 def ks_distance(m1: PointMeasure, m2: PointMeasure) -> float:

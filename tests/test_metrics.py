@@ -36,6 +36,44 @@ def measures(draw):
     return PointMeasure.from_atoms(np.asarray(locs), np.asarray(raw) / np.sum(raw))
 
 
+def _bisection_levy(m1, m2, width=1e-12):
+    """Oracle: the smallest corridor width in [0, 1] at which each CDF stays
+    within the other's corridor, bisected down to ``width``.  For step CDFs
+    F1(t - eps) - F2(t) peaks just after an atom of m1 enters the shifted CDF,
+    so checking F2(x + eps) >= F1(x) - eps at the atoms x of m1 (and the
+    same with the roles swapped) decides a width."""
+    own1, own2 = m1.cdf(m1.locations), m2.cdf(m2.locations)
+
+    def feasible(eps):
+        return not (np.any(own1 - eps > m2.cdf(m1.locations + eps))
+                    or np.any(own2 - eps > m1.cdf(m2.locations + eps)))
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def levy_measures(draw):
+    """1-39 atoms: either equal weights on a dyadic grid (exact ties and
+    dyadic distances) or random weights at floats scaled up to 1e6."""
+    n = draw(st.integers(min_value=1, max_value=39))
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n))
+        return PointMeasure.from_atoms(np.asarray(ks) / 64.0, np.full(n, 1.0 / n))
+    scale = draw(st.sampled_from((1.0, 1e6)))
+    locs = draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))
+    raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return PointMeasure.from_atoms(scale * np.asarray(locs), raw / raw.sum())
+
+
 class TestLevy:
     def test_identical_zero(self):
         m = _random_measure(np.random.default_rng(0))
@@ -85,6 +123,22 @@ class TestLevy:
         assert 0.0 <= d <= 1.0
         assert d == levy_distance(m2, m1)
         assert d <= ks_distance(m1, m2) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(levy_measures(), levy_measures())
+    def test_matches_bisection(self, m1, m2):
+        # the bisection stops at the first feasible width past the exact one
+        exact = levy_distance(m1, m2)
+        assert exact - 1e-15 <= _bisection_levy(m1, m2) <= exact + 1e-12
+
+    def test_pooled_replica_atoms(self):
+        # pooled measures keep tied atoms apart when they carry replica ids
+        locs = np.array([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+        m1 = PointMeasure.from_atoms(locs, np.full(6, 1 / 6), replica_ids=[0, 1, 0, 1, 0, 1])
+        m2 = PointMeasure.from_atoms([0.25, 1.0, 1.5], [0.5, 0.25, 0.25])
+        assert levy_distance(m1, m1) == 0.0
+        exact = levy_distance(m1, m2)
+        assert exact - 1e-15 <= _bisection_levy(m1, m2) <= exact + 1e-12
 
 
 class TestKs:
