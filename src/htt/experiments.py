@@ -110,6 +110,7 @@ _KS_CRITICAL_1PCT = 1.628
 # the raw symmetry check agrees exactly (zero standard error)
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
+
 def _positive_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 

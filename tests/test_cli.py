@@ -72,7 +72,7 @@ def test_invalid_config_exits_before_work(tmp_path, command, text):
          "growth-band-beyond-window", "ladder-clip-only"],
 )
 def test_accepted_config_runs_to_report(tmp_path, command, text):
-    # each of these configs once passed validation and then died mid-run
+    # validation accepts each band and window here, so each must run
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"

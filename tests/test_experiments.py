@@ -88,11 +88,6 @@ class TestConfigParsing:
         lv = config_from_mapping("properties", {"w": 4, "j": 50}).window_levels(256)
         assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (math.inf, 50, 1, 4, 50)
 
-    def test_booleans_are_not_values(self):
-        assert parse_config_text("alpha = true")["alpha"] == "true"
-        with pytest.raises(ValueError):
-            config_from_mapping("esd", {"coupled": "false"})
-
     def test_readme_lists_every_config_key(self):
         # the README's key table names exactly the config fields, with the
         # tolerances spelled tol_<name>; the experiment is the subcommand
