@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import __version__
 from .limit_operator import operator_window
@@ -240,18 +239,20 @@ def parse_config_text(text: str) -> dict:
 
 _LIST_KEYS = {"n_list", "l_list"}
 
+# The experiment comes from the subcommand and tolerances from tol_<name>
+# keys, so neither field is a config-file key.
+_FILE_KEYS = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "tolerances"}
+
 
 def config_from_mapping(experiment: str, mapping: dict) -> ExperimentConfig:
     kwargs = {"experiment": experiment}
     tolerances = {}
     for key, value in mapping.items():
-        if key == "experiment":
-            kwargs["experiment"] = value
-        elif key.startswith("tol_"):
+        if key.startswith("tol_"):
             tolerances[key[4:]] = value
         elif key in _LIST_KEYS:
             kwargs[key] = value if isinstance(value, tuple) else (value,)
-        elif key in ExperimentConfig.__dataclass_fields__:
+        elif key in _FILE_KEYS:
             kwargs[key] = value
         else:
             raise ValueError(f"unknown config key: {key}")
@@ -826,6 +827,9 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         sigma = entries.order[:k]
         coords[r] = (theta * sigma % (2 * n)) / (2 * n)
 
+    # scipy.stats costs about a second to import; equidist is its only user
+    import scipy.stats
+
     level = config.tol("equidist_level")
     crit = _KS_CRITICAL_1PCT / math.sqrt(config.replicas)
     if level != 0.01:
@@ -882,6 +886,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     report = EXPERIMENTS[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)
     report.provenance["numpy_version"] = np.__version__
+    import scipy  # cheap: scipy loads its submodules on first use
+
     report.provenance["scipy_version"] = scipy.__version__
     # ru_maxrss is in KiB on Linux
     report.provenance["peak_rss_mb"] = round(

@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .sampler import EntrySequence
 
@@ -97,9 +96,34 @@ class TruncationLevels:
         return cls(m=m, k=max(1, round(m)), l=l, w=8 * l if w is None else w, j=j)
 
 
+def _hankel(vals: np.ndarray, cols: int) -> np.ndarray:
+    """Strided view H(i, j) = vals[i + j] with ``cols`` columns."""
+    return np.lib.stride_tricks.sliding_window_view(vals, cols)
+
+
+def _toeplitz(c: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Toeplitz matrix with first column c and first row r (r[0] ignored);
+    r = conj(c) by default, so Hermitian when c[0] is real.  Equal element
+    for element to ``scipy.linalg.toeplitz(c, r)``.
+
+    T(i, j) = vals[len(c) - 1 - i + j] for vals = (c reversed, r[1:]): the
+    Hankel view of vals with its rows reversed, copied once.
+    """
+    c = np.asarray(c)
+    r = c.conj() if r is None else np.asarray(r)
+    return _hankel(np.concatenate([c[::-1], r[1:]]), r.shape[0])[::-1].copy()
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Circulant matrix C(i, j) = c[(i - j) mod n]; equal element for element
+    to ``scipy.linalg.circulant(c)``."""
+    c = np.asarray(c)
+    return _toeplitz(c, np.concatenate([c[:1], c[:0:-1]]))
+
+
 def build_toeplitz(entries: EntrySequence) -> np.ndarray:
     """N x N symmetric Toeplitz matrix T(k, l) = b_|k-l|."""
-    return scipy.linalg.toeplitz(entries.b)
+    return _toeplitz(entries.b)
 
 
 def _split_eigvalsh(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -124,9 +148,8 @@ def toeplitz_eigvalsh(b) -> np.ndarray:
     if n == 1:
         return b.copy()
     m = (n + 1) // 2
-    toep = scipy.linalg.toeplitz(b[:m])
-    tail = b[::-1]
-    hank = scipy.linalg.hankel(tail[:m], tail[m - 1 : 2 * m - 1])
+    toep = _toeplitz(b[:m])
+    hank = _hankel(b[::-1][: 2 * m - 1], m)
     even = toep + hank
     odd = toep - hank
     if n % 2:
@@ -148,7 +171,7 @@ def build_circulant(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarr
     wrap entry.  ``wrap_entry`` fills the unconstrained b_N slot; pass an
     independent copy of b_0 for the interlacing experiment variant.
     """
-    return scipy.linalg.circulant(circulant_symbol(entries, wrap_entry))
+    return _circulant(circulant_symbol(entries, wrap_entry))
 
 
 def _symbol_fft(symbol: np.ndarray) -> np.ndarray:
@@ -207,7 +230,7 @@ def projection_matrix(n: int) -> np.ndarray:
     at odd |k-l|.  Entries depend only on k - l, so the matrix is Hermitian
     Toeplitz.
     """
-    return scipy.linalg.toeplitz(_projection_column(n))
+    return _toeplitz(_projection_column(n))
 
 
 def projection_symbol(n: int, l: int) -> np.ndarray:
@@ -300,8 +323,9 @@ def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     q = band[(n // 2 + 1 + t) % (2 * n)]
     if parity:
         q[[0, -1]] *= np.sqrt(0.5)
-    toep = scipy.linalg.toeplitz(symbol[:size])
-    hank = symbol[(t[:, None] + t[None, :] + 1 - parity) % (2 * n)]
+    toep = _toeplitz(symbol[:size])
+    # (t + u + 1 - parity) mod 2N wraps only at t = u = N for odd N
+    hank = _hankel(np.concatenate([symbol, symbol[:1]])[1 - parity :], size)[:size]
     weights = q[:, None] * q[None, :]
     even = weights * (toep + hank)
     odd = weights * (toep - hank)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import htt
 from htt.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
 
 
@@ -47,10 +52,13 @@ def test_config_error_exit_code(tmp_path):
         ("ladder", "n_list = 16, 32\nk = 20\n"),
         ("ladder", "n_list = 8\ncoupled = false\n"),
         ("esd", "alpha = true\n"),
+        ("ladder", "experiment = esd\nn_list = 8\n"),
+        ("esd", "n_list = 8\ntolerances = 3\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
-         "top-k-beyond-size", "coupled-key", "boolean"],
+         "top-k-beyond-size", "coupled-key", "boolean", "experiment-key",
+         "tolerances-key"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
@@ -101,3 +109,18 @@ def test_plot_subcommand(tmp_path, capsys):
 
 def test_plot_without_inputs():
     assert main(["plot"]) == EXIT_CONFIG_ERROR
+
+
+def test_import_skips_scipy_submodules():
+    # every htt call pays its imports; only equidist needs scipy.stats
+    code = (
+        "import sys, htt, htt.cli; "
+        "print(' '.join(m for m in ('scipy.linalg', 'scipy.stats', "
+        "'scipy.special', 'scipy.sparse') if m in sys.modules))"
+    )
+    src = str(Path(htt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htt.limit_operator import (
     CosineSeries,
@@ -279,40 +281,39 @@ class TestOperatorWindow:
                     acc += pk * series_value(series, mm) * pl
                 assert abs(win[k + 6, l + 6] - _phase(k - l) * acc) < 1e-12
 
-    def test_real_window_is_gauge_of_complex_window(self):
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.data(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_real_window_is_gauge_of_complex_window(self, w, data, seed):
         # the complex window built from the scalar kernel definition, at
-        # random small (w, l): the real window is its Phi-conjugate, and the
+        # small (w, l): the real window is its Phi-conjugate, and the
         # spectral measures at u and Phi u (and at e_0) coincide
-        rng = np.random.default_rng(14)
-        params = AlphaParams(0.5, 0.5)
-        for trial in range(10):
-            w = int(rng.integers(2, 13))
-            l = int(rng.integers(1, 2 * w + 1))
-            env = sample_environment(64, params, RngSeed(600, trial))
-            lv = TruncationLevels(m=2.0, k=8, l=l, w=w, j=64)
-            win = operator_window(env, lv)
-            assert win.matrix.dtype == np.float64
-            ks = np.arange(-w, w + 1)
-            ms = np.arange(-w - l, w + l + 1)
-            series = CosineSeries(env, terms=64, clip=2.0, top_k=8)
-            diag = np.array([series_value(series, int(m)) for m in ms])
-            a = _complex_block(ks, ms, l)
-            full = (a * diag) @ a.conj().T
-            np.testing.assert_allclose(win.matrix, _gauge(full, ks, ks), rtol=0, atol=1e-13)
-            u = np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
-            u /= np.linalg.norm(u)
-            phi_u = projection_unit_vector(w)
-            phi_u /= np.linalg.norm(phi_u)
-            for real_vec, complex_vec in ((phi_u, u), (win.basis_vector(0),) * 2):
-                real_m = spectral_measure_at(win.matrix, real_vec)
-                complex_m = spectral_measure_at(full, complex_vec)
-                assert len(real_m) == len(complex_m)
-                np.testing.assert_allclose(
-                    real_m.locations, complex_m.locations, rtol=0, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    real_m.weights, complex_m.weights, rtol=0, atol=1e-12
-                )
+        l = data.draw(st.integers(min_value=1, max_value=2 * w))
+        env = sample_environment(64, AlphaParams(0.5, 0.5), RngSeed(seed))
+        lv = TruncationLevels(m=2.0, k=8, l=l, w=w, j=64)
+        win = operator_window(env, lv)
+        assert win.matrix.dtype == np.float64
+        ks = np.arange(-w, w + 1)
+        ms = np.arange(-w - l, w + l + 1)
+        series = CosineSeries(env, terms=64, clip=2.0, top_k=8)
+        diag = np.array([series_value(series, int(m)) for m in ms])
+        a = _complex_block(ks, ms, l)
+        full = (a * diag) @ a.conj().T
+        np.testing.assert_allclose(win.matrix, _gauge(full, ks, ks), rtol=0, atol=1e-13)
+        u = np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
+        u /= np.linalg.norm(u)
+        phi_u = projection_unit_vector(w)
+        phi_u /= np.linalg.norm(phi_u)
+        for real_vec, complex_vec in ((phi_u, u), (win.basis_vector(0),) * 2):
+            real_m = spectral_measure_at(win.matrix, real_vec)
+            complex_m = spectral_measure_at(full, complex_vec)
+            assert len(real_m) == len(complex_m)
+            np.testing.assert_allclose(
+                real_m.locations, complex_m.locations, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                real_m.weights, complex_m.weights, rtol=0, atol=1e-12
+            )
 
 
 class TestUnitVector:

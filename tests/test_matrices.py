@@ -2,11 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htt.matrices import (
     TruncationLevels,
+    _circulant,
+    _hankel,
+    _projection_column,
+    _toeplitz,
     band_truncate,
     build_circulant,
     build_toeplitz,
@@ -38,6 +43,39 @@ def _fixed_entries(b):
         a=b.copy(), c_n=1.0, b=b, order=order, sorted_abs=np.abs(b)[order],
         alpha=1.0, p=0.5,
     )
+
+
+@st.composite
+def vectors(draw, max_size=64):
+    """Real or complex vector of 1 to max_size finite entries."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    parts = st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+    v = np.array(draw(parts))
+    if draw(st.booleans()):
+        v = v + 1j * np.array(draw(parts))
+    return v
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestConstructors:
+    """The numpy constructors against scipy.linalg, element for element."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(vectors(), vectors())
+    def test_match_scipy(self, c, r):
+        _assert_same(_toeplitz(c), scipy.linalg.toeplitz(c))
+        _assert_same(_toeplitz(c, r), scipy.linalg.toeplitz(c, r))
+        _assert_same(_hankel(np.concatenate([c, r[1:]]), r.size), scipy.linalg.hankel(c, r))
+        _assert_same(_circulant(c), scipy.linalg.circulant(c))
+
+    @settings(max_examples=64, deadline=None)
+    @given(st.integers(min_value=1, max_value=64))
+    def test_projection_matrix_matches_scipy(self, n):
+        _assert_same(projection_matrix(n), scipy.linalg.toeplitz(_projection_column(n)))
 
 
 class TestToeplitz:
