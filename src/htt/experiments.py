@@ -1,7 +1,8 @@
 """End-to-end experiment runs: ESD computation, truncation ladders, Monte
 Carlo limit estimation, spectral-property suites, and equidistribution
-diagnostics.  Every run writes CSV artifacts plus a JSON report whose config
-hash and seed reproduce bit-identical numerical output.
+diagnostics.  Every run writes CSV artifacts, and :func:`run_experiment`
+adds a JSON report whose config hash and seed reproduce bit-identical
+numerical output.
 
 Stream layout: each experiment derives replica streams from the base seed in
 disjoint blocks (per-size ESD replicas at 1000*i + r, reference environments
@@ -15,6 +16,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import resource
 import time
 import warnings
@@ -96,9 +98,6 @@ DEFAULT_TOLERANCES = {
     "mgf_pass_fraction": 0.95,
     "support_violations": 0.0,
     "growth_slack": 0.02,
-    # resolvent identity
-    "stieltjes_residual": 1e-3,
-    "stieltjes_shrink": 1.5,
     # equidistribution KS level (1% critical value c/sqrt(n), c = 1.628)
     "equidist_level": 0.01,
 }
@@ -166,6 +165,11 @@ class ExperimentConfig:
             raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * self.w}")
         if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
             raise ValueError(f"top-k k = {self.k} exceeds the smallest size {min(self.n_list)}")
+        for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance tol_{name}")
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"tol_{name} must be a number, got {value!r}")
 
     def params(self) -> AlphaParams:
         return AlphaParams(self.alpha, self.p)
@@ -293,6 +297,9 @@ class CheckRecord:
         }
 
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge}
+
+
 @dataclass
 class Report:
     experiment: str
@@ -305,17 +312,12 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def check(self, name, observed, threshold, basis, direction="<="):
-        ops = {
-            "<=": lambda a, b: a <= b,
-            ">=": lambda a, b: a >= b,
-            "==": lambda a, b: a == b,
-        }
-        observed = float(observed)
+        observed, threshold = float(observed), float(threshold)
         rec = CheckRecord(
             name=name,
             observed=observed,
-            threshold=float(threshold),
-            passed=ops[direction](observed, float(threshold)),
+            threshold=threshold,
+            passed=_COMPARE[direction](observed, threshold),
             basis=basis,
             direction=direction,
         )
@@ -380,13 +382,6 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def _pooled(measures: list[PointMeasure]) -> PointMeasure:
-    locs = np.concatenate([m.locations for m in measures])
-    wts = np.concatenate([m.weights / len(measures) for m in measures])
-    ids = np.concatenate([np.full(len(m), i) for i, m in enumerate(measures)])
-    return PointMeasure.from_atoms(locs, wts / wts.sum(), replica_ids=ids)
-
-
 # ---------------------------------------------------------------------------
 # esd
 
@@ -420,7 +415,7 @@ def run_esd(config: ExperimentConfig) -> Report:
             save_measure_csv(out / f"esd_n{n}_r{r}.csv", m)
             if n <= 64:
                 worst_dev = max(worst_dev, corner_embedding_deviation(entries))
-        pooled = _pooled(measures)
+        pooled = PointMeasure.pooled(measures)
         save_measure_csv(out / f"esd_n{n}_pooled.csv", pooled)
         edges, masses = histogram(pooled, config.bins)
         save_histogram_csv(out / f"esd_n{n}_hist.csv", edges, masses)
@@ -439,7 +434,6 @@ def run_esd(config: ExperimentConfig) -> Report:
             )
         else:
             report.note(f"corner identity skipped at n={n} > 64")
-    report.save(out / "report_esd.json")
     return report
 
 
@@ -509,7 +503,6 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
             "pooled ladder distance decreases from the smallest to the "
             "largest band width",
         )
-    report.save(out / "report_ladder.json")
     return report
 
 
@@ -586,7 +579,7 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
     distances = []
     pooled_first = None
     for n in n_list:
-        pooled = _pooled(per_size[n])
+        pooled = PointMeasure.pooled(per_size[n])
         if pooled_first is None:
             pooled_first = pooled
         save_measure_csv(out / f"limit_esd_n{n}.csv", pooled)
@@ -616,7 +609,6 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
     )
     for n, d in distances:
         report.note(f"levy distance at n={n}: {d:.6f}")
-    report.save(out / "report_limit.json")
     return report
 
 
@@ -785,7 +777,6 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         "Toeplitz eigenvalues interlace between the circulant embedding's "
         "eigenvalues (principal submatrix)",
     )
-    report.save(out / "report_properties.json")
     return report
 
 
@@ -816,7 +807,6 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
 
     if n == 1:
         report.note("size 1 is degenerate (two-point support); KS test skipped")
-        report.save(out / "report_equidist.json")
         return report
 
     coords = np.empty((config.replicas, k))
@@ -864,7 +854,6 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
     )
     np.savetxt(out / "equidist_coords.csv", coords, delimiter=",",
                header=",".join(f"coord{i}" for i in range(k)), comments="")
-    report.save(out / "report_equidist.json")
     return report
 
 
@@ -882,6 +871,8 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
+    """Run one experiment and write its report, provenance included, as
+    ``report_<experiment>.json``; the runners themselves only return it."""
     t0 = time.perf_counter()
     report = EXPERIMENTS[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)

@@ -30,12 +30,6 @@ __all__ = [
 _TAIL_SAFETY = 1.1
 
 
-def _require_normalized(*measures: PointMeasure):
-    for m in measures:
-        if not m.normalized or abs(m.total_mass - 1.0) > 1e-9:
-            raise ValueError("distances require normalized probability measures")
-
-
 def _one_sided_levy(m1: PointMeasure, m2: PointMeasure) -> float:
     """Smallest eps with F2(x + eps) >= F1(x) - eps at every atom x of m1.
 
@@ -61,7 +55,6 @@ def levy_distance(m1: PointMeasure, m2: PointMeasure) -> float:
     """Exact Levy distance between finite atom measures: the larger of the
     two one-sided corridor widths, clamped to [0, 1] (cumulative sums may
     round above 1)."""
-    _require_normalized(m1, m2)
     d = max(_one_sided_levy(m1, m2), _one_sided_levy(m2, m1))
     return min(max(0.0, d), 1.0)
 
@@ -69,7 +62,6 @@ def levy_distance(m1: PointMeasure, m2: PointMeasure) -> float:
 def ks_distance(m1: PointMeasure, m2: PointMeasure) -> float:
     """Kolmogorov-Smirnov distance sup_t |F1(t) - F2(t)|, evaluating both
     one-sided limits at every breakpoint.  Always >= the Levy distance."""
-    _require_normalized(m1, m2)
     pts = np.union1d(m1.locations, m2.locations)
     right = np.abs(m1.cdf(pts) - m2.cdf(pts)).max()
     left = np.abs(m1.cdf(pts, side="left") - m2.cdf(pts, side="left")).max()
@@ -78,7 +70,6 @@ def ks_distance(m1: PointMeasure, m2: PointMeasure) -> float:
 
 def log_mgf(m: PointMeasure, beta: float) -> float:
     """log sum_i w_i exp(beta x_i), computed in log-sum-exp form."""
-    _require_normalized(m)
     t = beta * m.locations
     hi = t.max()
     pos = m.weights > 0

@@ -1,9 +1,9 @@
-"""Eigendecompositions, empirical spectral distributions, spectral measures
-at a vector, Stieltjes transforms, and Monte Carlo estimation of the
-limiting measure.
+"""Empirical spectral distributions, spectral measures at a vector,
+Stieltjes transforms, and Monte Carlo estimation of the limiting measure.
 
-A :class:`PointMeasure` is a finite list of weighted atoms standing for an
-ESD or a spectral measure; all distances in :mod:`htt.metrics` act on it.
+A :class:`PointMeasure` is a finite probability measure of weighted atoms
+standing for an ESD, a spectral measure or a pool of them; all distances
+in :mod:`htt.metrics` act on it.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .sampler import AlphaParams, Environment, RngSeed, _environment_from, redra
 
 __all__ = [
     "PointMeasure",
-    "EigenSystem",
-    "eig_hermitian",
     "esd",
     "spectral_measure_at",
     "stieltjes",
@@ -38,21 +36,20 @@ _NORMALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PointMeasure:
-    """Finite atomic measure: sorted locations, positive weights, and an
-    optional replica id per atom (so pooled Monte Carlo output retains its
-    per-environment sub-measures)."""
+    """Finite atomic probability measure: sorted locations, positive
+    weights summing to 1, and an optional replica id per atom (so pooled
+    Monte Carlo output retains its per-environment sub-measures)."""
 
     locations: np.ndarray
     weights: np.ndarray
-    normalized: bool = True
     replica_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.normalized and abs(self.weights.sum() - 1.0) > _NORMALIZATION_TOL:
+        if abs(self.weights.sum() - 1.0) > _NORMALIZATION_TOL:
             raise ValueError(f"weights sum to {self.weights.sum()!r}, not 1")
 
     @classmethod
-    def from_atoms(cls, locations, weights, replica_ids=None, normalized: bool = True):
+    def from_atoms(cls, locations, weights, replica_ids=None):
         """Canonicalize: sort by location; merge exact duplicates unless
         replica ids must be kept atom-by-atom."""
         locations = np.asarray(locations, dtype=float)
@@ -74,14 +71,20 @@ class PointMeasure:
                 locations, weights = uniq, merged
         else:
             replica_ids = np.asarray(replica_ids)[order]
-        return cls(locations, weights, normalized=normalized, replica_ids=replica_ids)
+        return cls(locations, weights, replica_ids=replica_ids)
+
+    @classmethod
+    def pooled(cls, parts) -> "PointMeasure":
+        """Equal-weight mixture of the measures in ``parts``; each atom keeps
+        the index of its part as replica id (:func:`quenched_sub_measure`
+        recovers a part)."""
+        locations = np.concatenate([m.locations for m in parts])
+        weights = np.concatenate([m.weights / len(parts) for m in parts])
+        ids = np.concatenate([np.full(len(m), i) for i, m in enumerate(parts)])
+        return cls.from_atoms(locations, weights / weights.sum(), replica_ids=ids)
 
     def __len__(self) -> int:
         return self.locations.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -109,30 +112,8 @@ class PointMeasure:
     def reflected(self) -> "PointMeasure":
         """Mirror image x -> -x."""
         return PointMeasure.from_atoms(
-            -self.locations,
-            self.weights,
-            replica_ids=self.replica_ids,
-            normalized=self.normalized,
+            -self.locations, self.weights, replica_ids=self.replica_ids
         )
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_hermitian(a: np.ndarray) -> EigenSystem:
-    """Full Hermitian eigendecomposition; rejects visibly non-Hermitian input."""
-    a = np.asarray(a)
-    scale = np.abs(a).max() if a.size else 0.0
-    asym = np.abs(a - a.conj().T).max()
-    if asym > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:g}")
-    values, vectors = np.linalg.eigh(a)
-    return EigenSystem(values=values, vectors=vectors)
 
 
 def esd(values) -> PointMeasure:
@@ -146,17 +127,20 @@ def esd(values) -> PointMeasure:
 def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     """Spectral measure of Hermitian a at the unit vector v: atoms at the
     eigenvalues with weights |<v, phi_i>|^2.  Eigenvalues the vector has
-    exactly zero overlap with carry no atom."""
+    exactly zero overlap with carry no atom.  Rejects visibly non-Hermitian a."""
     v = np.asarray(v)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"v must be a unit vector, got norm {nrm!r}")
-    system = eig_hermitian(a)
-    weights = np.abs(v.conj() @ system.vectors) ** 2
+    a = np.asarray(a)
+    scale = np.abs(a).max() if a.size else 0.0
+    asym = np.abs(a - a.conj().T).max()
+    if asym > 1e-10 * max(scale, 1e-300):
+        raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:g}")
+    values, vectors = np.linalg.eigh(a)
+    weights = np.abs(v.conj() @ vectors) ** 2
     keep = weights > 0.0
-    return PointMeasure.from_atoms(
-        system.values[keep], weights[keep] / weights[keep].sum()
-    )
+    return PointMeasure.from_atoms(values[keep], weights[keep] / weights[keep].sum())
 
 
 def stieltjes(m: PointMeasure, z: complex) -> complex:
@@ -190,21 +174,17 @@ def _limit_measure_replica(
     inner: int,
     seed: RngSeed,
     symmetrize: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights (weights summing to `inner`) for one environment."""
+) -> list[PointMeasure]:
+    """The window measures of one environment's `inner` phase redraws."""
     rng = seed.generator()
     env = _environment_from(rng, levels.j, params)
-    locs = []
-    wts = []
+    measures = []
     for _ in range(inner):
         window = operator_window(env, levels)
         measure = window_measure_at_unit_vector(window, levels.core)
-        if symmetrize:
-            measure = measure.mirrored()
-        locs.append(measure.locations)
-        wts.append(measure.weights)
+        measures.append(measure.mirrored() if symmetrize else measure)
         env = redraw_phases(env, rng)
-    return np.concatenate(locs), np.concatenate(wts)
+    return measures
 
 
 def mc_limit_measure(
@@ -240,15 +220,8 @@ def mc_limit_measure(
             results = list(pool.map(_limit_measure_replica_star, tasks))
     else:
         results = [_limit_measure_replica(*t) for t in tasks]
-
-    scale = 1.0 / (replicas * inner)
-    locs = np.concatenate([loc for loc, _ in results])
-    wts = np.concatenate([w * scale for _, w in results])
-    ids = np.concatenate(
-        [np.full(len(loc), r) for r, (loc, _) in enumerate(results)]
-    )
-    wts = wts / wts.sum()
-    return PointMeasure.from_atoms(locs, wts, replica_ids=ids)
+    pooled = PointMeasure.pooled([m for draws in results for m in draws])
+    return replace(pooled, replica_ids=pooled.replica_ids // inner)
 
 
 def _limit_measure_replica_star(args):
@@ -288,7 +261,7 @@ def resolvent_identity_residual(
     e0 = window.basis_vector(0)
     u = projection_unit_vector(w)
     u = u / np.linalg.norm(u)
-    system = eig_hermitian(window.matrix)
-    res = np.stack([e0, u]) @ system.vectors
-    s_e0, s_u = (res**2 / (system.values - z)).sum(axis=1)
+    values, vectors = np.linalg.eigh(window.matrix)
+    res = np.stack([e0, u]) @ vectors
+    s_e0, s_u = (res**2 / (values - z)).sum(axis=1)
     return abs(2.0 * s_e0 + 1.0 / z - s_u)

@@ -54,11 +54,13 @@ def test_config_error_exit_code(tmp_path):
         ("esd", "alpha = true\n"),
         ("ladder", "experiment = esd\nn_list = 8\n"),
         ("esd", "n_list = 8\ntolerances = 3\n"),
+        ("esd", "n_list = 8\ntol_esd_identy = 1e-30\n"),
+        ("esd", "n_list = 8\ntol_esd_identity = abc\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
          "top-k-beyond-size", "coupled-key", "boolean", "experiment-key",
-         "tolerances-key"],
+         "tolerances-key", "tolerance-name", "tolerance-value"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

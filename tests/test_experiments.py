@@ -103,7 +103,7 @@ class TestReport:
         cfg = ExperimentConfig(
             experiment="esd", n_list=(8,), replicas=2, out_dir=str(tmp_path), seed=3
         )
-        report = run_esd(cfg)
+        run_experiment(cfg)
         data = json.loads((tmp_path / "report_esd.json").read_text())
         assert data["experiment"] == "esd"
         assert data["passed"] is True
@@ -117,11 +117,12 @@ class TestReport:
         assert "tolerances" in prov
 
     def test_hash_ignores_tolerance_order(self):
-        a = ExperimentConfig("esd", tolerances={"a": 1, "b": 2})
-        b = ExperimentConfig("esd", tolerances={"b": 2, "a": 1})
+        a = ExperimentConfig("esd", tolerances={"esd_identity": 1, "weyl_sum": 2})
+        b = ExperimentConfig("esd", tolerances={"weyl_sum": 2, "esd_identity": 1})
         assert a == b
         assert _config_hash(a) == _config_hash(b)
-        assert _config_hash(a) != _config_hash(ExperimentConfig("esd", tolerances={"a": 1}))
+        only_a = ExperimentConfig("esd", tolerances={"esd_identity": 1})
+        assert _config_hash(a) != _config_hash(only_a)
 
     def test_reproducible_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -134,6 +135,31 @@ class TestReport:
         f1 = (out1 / "esd_n8_pooled.csv").read_bytes()
         f2 = (out2 / "esd_n8_pooled.csv").read_bytes()
         assert f1 == f2
+
+
+class TestTolerances:
+    def test_every_tolerance_is_read(self, tmp_path, monkeypatch):
+        # each DEFAULT_TOLERANCES entry is read by some experiment, and no
+        # experiment reads a name outside it
+        read = set()
+        tol = ExperimentConfig.tol
+
+        def recording_tol(config, name):
+            read.add(name)
+            return tol(config, name)
+
+        monkeypatch.setattr(ExperimentConfig, "tol", recording_tol)
+        toy = {
+            "esd": dict(n_list=(8,), replicas=1),
+            "ladder": dict(n_list=(16,), l_list=(2, 4), replicas=5),
+            "limit": dict(n_list=(16, 32, 64), replicas=2, ref_envs=2, w=16),
+            "properties": dict(alpha=0.9, w=8, l=2, n_list=(16,), replicas=2),
+            "equidist": dict(n_list=(64,), replicas=20, top_coords=2),
+        }
+        for experiment, keys in toy.items():
+            run_experiment(ExperimentConfig(
+                experiment, out_dir=str(tmp_path / experiment), **keys))
+        assert read == set(DEFAULT_TOLERANCES)
 
 
 class TestEsdRun:

@@ -1,0 +1,24 @@
+import importlib
+
+import pytest
+
+import htt
+
+# Modules whose __all__ the package re-exports, and those it leaves out so
+# that `import htt` loads no scipy
+REEXPORTED = ("sampler", "matrices", "limit_operator", "spectra", "metrics")
+OWN_NAMESPACE = ("serialize", "experiments", "plots")
+
+
+@pytest.mark.parametrize("name", REEXPORTED + OWN_NAMESPACE)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"htt.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_package_reexports_all(name):
+    module = importlib.import_module(f"htt.{name}")
+    for n in module.__all__:
+        assert getattr(htt, n, None) is getattr(module, n), n

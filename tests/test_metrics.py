@@ -112,9 +112,9 @@ class TestLevy:
             assert levy_distance(m1, m2) <= ks_distance(m1, m2) + 1e-12
 
     def test_rejects_unnormalized(self):
-        bad = PointMeasure(np.array([0.0]), np.array([0.7]), normalized=False)
-        with pytest.raises(ValueError):
-            levy_distance(bad, _delta(0.0))
+        # distances need probability measures, and PointMeasure holds no other
+        with pytest.raises(ValueError, match="not 1"):
+            PointMeasure(np.array([0.0]), np.array([0.7]))
 
     @settings(max_examples=60, deadline=None)
     @given(measures(), measures())

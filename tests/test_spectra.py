@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htt.limit_operator import operator_window, projection_unit_vector
 from htt.matrices import TruncationLevels
@@ -9,7 +11,6 @@ from htt.metrics import levy_distance, support_bound
 from htt.sampler import AlphaParams, RngSeed, sample_environment
 from htt.spectra import (
     PointMeasure,
-    eig_hermitian,
     esd,
     mc_limit_measure,
     quenched_sub_measure,
@@ -28,7 +29,7 @@ class TestPointMeasure:
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            PointMeasure(np.array([0.0]), np.array([0.5]), normalized=True)
+            PointMeasure(np.array([0.0]), np.array([0.5]))
 
     def test_cdf_sides(self):
         m = PointMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
@@ -50,31 +51,39 @@ class TestPointMeasure:
         np.testing.assert_array_equal(r.weights, [0.75, 0.25])
 
 
-class TestEig:
-    def test_diagonal(self):
-        sys = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(sys.values, [1.0, 2.0, 3.0])
+@st.composite
+def pooling_parts(draw):
+    """1-6 measures of 1-8 atoms, drawn from a small location pool so that
+    locations tie within and across parts."""
+    pool = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=4))
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 8))
+        locs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        parts.append(PointMeasure.from_atoms(locs, raw / raw.sum()))
+    return parts
 
-    def test_two_by_two(self):
-        sys = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(sys.values, [-1.0, 1.0], atol=1e-15)
 
-    def test_reconstruction(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        a = (a + a.conj().T) / 2
-        sys = eig_hermitian(a)
-        rebuilt = (sys.vectors * sys.values) @ sys.vectors.conj().T
-        assert np.abs(rebuilt - a).max() < 1e-10
-        # orthonormality and per-pair residual
-        gram = sys.vectors.conj().T @ sys.vectors
-        assert np.abs(gram - np.eye(8)).max() < 1e-10
-        res = a @ sys.vectors - sys.vectors * sys.values
-        assert np.abs(res).max() <= 1e-8 * np.abs(sys.values).max()
+class TestPooled:
+    @settings(max_examples=100, deadline=None)
+    @given(pooling_parts())
+    def test_pooling_is_inverted_by_quenched_sub_measure(self, parts):
+        pooled = PointMeasure.pooled(parts)
+        assert abs(pooled.weights.sum() - 1.0) <= 1e-12
+        for r, part in enumerate(parts):
+            atoms = pooled.replica_ids == r
+            np.testing.assert_array_equal(pooled.locations[atoms], part.locations)
+            sub = quenched_sub_measure(pooled, r)
+            np.testing.assert_array_equal(sub.locations, part.locations)
+            np.testing.assert_allclose(sub.weights, part.weights, rtol=1e-14)
+        assert set(pooled.replica_ids) == set(range(len(parts)))
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_equal_weight_per_part(self):
+        pooled = PointMeasure.pooled([esd([0.0, 1.0]), esd([1.0])])
+        np.testing.assert_array_equal(pooled.locations, [0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(pooled.weights, [0.25, 0.25, 0.5])
+        np.testing.assert_array_equal(pooled.replica_ids, [0, 0, 1])
 
 
 class TestEsd:
@@ -129,6 +138,10 @@ class TestSpectralMeasure:
         with pytest.raises(ValueError):
             spectral_measure_at(np.eye(2), np.array([1.0, 1.0]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectral_measure_at(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
+
 
 class TestVectorMoment:
     def test_projection_window_center(self):
@@ -171,7 +184,7 @@ class TestMcLimitMeasure:
     def test_total_mass(self):
         lv = TruncationLevels(m=2.0, k=4, l=4, w=16, j=32)
         m = mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=2, seed=RngSeed(1))
-        assert abs(m.total_mass - 1.0) <= 1e-12
+        assert abs(m.weights.sum() - 1.0) <= 1e-12
 
     def test_tiny_clip_concentrates_at_zero(self):
         # clip ~ 0 forces every series coefficient to ~0: mass piles at 0
