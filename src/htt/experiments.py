@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import numbers
-import operator
 import resource
 import time
 import warnings
@@ -297,9 +296,6 @@ class CheckRecord:
         }
 
 
-_COMPARE = {"<=": operator.le, ">=": operator.ge}
-
-
 @dataclass
 class Report:
     experiment: str
@@ -312,12 +308,16 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def check(self, name, observed, threshold, basis, direction="<="):
-        observed, threshold = float(observed), float(threshold)
+        ops = {
+            "<=": lambda a, b: a <= b,
+            ">=": lambda a, b: a >= b,
+        }
+        observed = float(observed)
         rec = CheckRecord(
             name=name,
             observed=observed,
-            threshold=threshold,
-            passed=_COMPARE[direction](observed, threshold),
+            threshold=float(threshold),
+            passed=ops[direction](observed, float(threshold)),
             basis=basis,
             direction=direction,
         )
