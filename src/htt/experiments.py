@@ -68,10 +68,15 @@ __all__ = [
     "Report",
     "DEFAULT_TOLERANCES",
     "parse_config_text",
+    "config_from_mapping",
     "load_config",
+    "corner_embedding_deviation",
     "run_esd",
+    "ladder_distances",
     "run_truncation_ladder",
+    "reference_limit_measure",
     "run_limit_convergence",
+    "interlacing_violation",
     "run_property_suite",
     "run_equidistribution",
     "run_experiment",
@@ -103,9 +108,24 @@ DEFAULT_TOLERANCES = {
 
 _KS_CRITICAL_1PCT = 1.628
 
-# Largest CDF asymmetry counted as rounding residue when every replica of
-# the raw symmetry check agrees exactly (zero standard error)
+# Largest per-replica CDF asymmetry counted as rounding residue (zero) in
+# the raw symmetry check
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
+
+
+def _asymmetry_zscore(d: np.ndarray) -> float:
+    """|mean| / standard error of per-replica CDF asymmetries d.
+
+    Each |d| <= _ROUNDING_FLOOR is rounding residue and counts as 0, so the
+    z-score of residues alone is 0 instead of a ratio of rounding errors.
+    With zero standard error (every replica agrees) z is undefined and is
+    decided on the mean alone: 0 if it is 0, inf otherwise.
+    """
+    d = np.where(np.abs(d) <= _ROUNDING_FLOOR, 0.0, d)
+    se = d.std() / math.sqrt(len(d))
+    if se > 0:
+        return abs(d.mean()) / se
+    return 0.0 if d.mean() == 0 else math.inf
 
 
 def _positive_int(value) -> bool:
@@ -670,17 +690,12 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         "the limiting measure is symmetric around 0",
     )
     subs = [quenched_sub_measure(raw, r) for r in range(config.replicas)]
-    worst_z = 0.0
-    for x in (0.5, 1.0, 2.0):
-        d = np.array([s.cdf(-x) + s.cdf(x, side="left") - 1.0 for s in subs])
-        se = d.std() / math.sqrt(len(subs))
-        if se > 0:
-            z = abs(d.mean()) / se
-        else:
-            # every replica has the same asymmetry, so z is undefined:
-            # decide on the mean alone against a rounding floor
-            z = 0.0 if abs(d.mean()) <= _ROUNDING_FLOOR else math.inf
-        worst_z = max(worst_z, z)
+    worst_z = max(
+        _asymmetry_zscore(
+            np.array([s.cdf(-x) + s.cdf(x, side="left") - 1.0 for s in subs])
+        )
+        for x in (0.5, 1.0, 2.0)
+    )
     report.check(
         "symmetry_raw_zscore",
         worst_z,

@@ -28,6 +28,7 @@ __all__ = [
     "stieltjes",
     "window_measure_at_unit_vector",
     "mc_limit_measure",
+    "quenched_sub_measure",
     "resolvent_identity_residual",
 ]
 

@@ -9,6 +9,8 @@ import pytest
 from htt.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    _ROUNDING_FLOOR,
+    _asymmetry_zscore,
     _config_hash,
     config_from_mapping,
     corner_embedding_deviation,
@@ -257,20 +259,43 @@ class TestLimitRun:
 
 
 class TestPropertySuite:
-    def test_zscore_with_identical_replica_asymmetry(self, tmp_path):
-        # at x = 2 both replicas' raw CDF asymmetry is the same rounding
-        # residue, so its standard error is 0 and the z-score is decided on
-        # the mean alone
+    def test_zscore_with_identical_replica_asymmetry(self):
+        # zero standard error: z is decided on the mean alone, 0 for
+        # rounding residues and inf for a real shared asymmetry
+        floor = _ROUNDING_FLOOR
+        assert _asymmetry_zscore(np.array([0.0, 0.0])) == 0.0
+        assert _asymmetry_zscore(np.array([floor, floor, floor])) == 0.0
+        assert _asymmetry_zscore(np.array([2.0 * floor, 2.0 * floor])) == math.inf
+        assert _asymmetry_zscore(np.array([-1e-3, -1e-3])) == math.inf
+
+    def test_zscore_treats_each_rounding_residue_as_zero(self):
+        # without the per-replica floor, [4.4e-16, 2.2e-16] reads z = 4.24
+        # (a failed check) and [2.2e-16, 0] z = 1.41: ratios of rounding errors
+        assert _asymmetry_zscore(np.array([4.4e-16, 2.2e-16])) == 0.0
+        assert _asymmetry_zscore(np.array([2.2e-16, 0.0])) == 0.0
+        assert _asymmetry_zscore(np.array([-2.2e-16, 4.4e-16, 0.0])) == 0.0
+
+    def test_zscore_of_spread_asymmetries(self):
+        # mean 0.02, population std 0.01 over 2 replicas: z = 2 sqrt(2)
+        assert _asymmetry_zscore(np.array([0.01, 0.03])) == pytest.approx(2 * math.sqrt(2))
+
+    def test_raw_symmetry_check_reports_worst_zscore(self, tmp_path):
+        # near alpha = 1 the x = 2 asymmetries are rounding residues
         cfg = ExperimentConfig(
             experiment="properties", alpha=0.9, w=8, l=2, n_list=(16,),
             replicas=2, seed=20256739, out_dir=str(tmp_path),
         )
         report = run_property_suite(cfg)
         raw = load_measure_csv(tmp_path / "properties_raw_measure.csv")
-        d = [s.cdf(-2.0) + s.cdf(2.0, side="left") - 1.0
-             for s in (quenched_sub_measure(raw, r) for r in range(2))]
-        assert d[0] == d[1] != 0.0 and abs(d[0]) < 1e-15
+        subs = [quenched_sub_measure(raw, r) for r in range(2)]
+        want = max(
+            _asymmetry_zscore(
+                np.array([s.cdf(-x) + s.cdf(x, side="left") - 1.0 for s in subs])
+            )
+            for x in (0.5, 1.0, 2.0)
+        )
         check = next(c for c in report.checks if c.name == "symmetry_raw_zscore")
+        assert check.observed == want
         assert check.passed and check.observed < 4.0
 
 

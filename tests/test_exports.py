@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -22,3 +23,24 @@ def test_package_reexports_all(name):
     module = importlib.import_module(f"htt.{name}")
     for n in module.__all__:
         assert getattr(htt, n, None) is getattr(module, n), n
+
+
+@pytest.mark.parametrize("name", REEXPORTED + OWN_NAMESPACE)
+def test_all_lists_every_public_definition(name):
+    # the public functions and classes a module defines are exactly the
+    # functions and classes of its __all__
+    module = importlib.import_module(f"htt.{name}")
+    defined = {
+        n
+        for n, obj in vars(module).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    listed = {
+        n
+        for n in module.__all__
+        if inspect.isfunction(getattr(module, n, None))
+        or inspect.isclass(getattr(module, n, None))
+    }
+    assert defined == listed

@@ -185,6 +185,48 @@ class TestCosineSeries:
         np.testing.assert_allclose(vec[check], scal, rtol=0, atol=1e-14 * scale)
 
 
+class TestSeriesValues:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3073),
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.sampled_from([0.5, 0.9, 1.5]),
+        st.one_of(st.none(), st.floats(min_value=0.2, max_value=5.0)),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=3000)),
+        st.integers(min_value=1, max_value=10_000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.data(),
+    )
+    def test_matches_fsum_oracle(self, span, k_min, alpha, clip, top_k, terms, seed, data):
+        # error measured against the series' absolute sum 2 * sum |c_j|, at
+        # the span's ends and a few offsets between
+        env = sample_environment(terms, AlphaParams(alpha), RngSeed(seed))
+        s = CosineSeries(env, terms=terms, clip=clip, top_k=top_k)
+        ks = np.arange(k_min, k_min + span)
+        picks = data.draw(st.lists(st.integers(0, span - 1), max_size=3))
+        check = np.unique([0, span - 1, *picks])
+        vec = series_values(s, ks)
+        scal = [series_value(s, int(ks[i])) for i in check]
+        scale = 2.0 * np.abs(series_coefficients(s)).sum()
+        np.testing.assert_allclose(vec[check], scal, rtol=0, atol=1e-14 * scale)
+
+    def test_transcendentals_per_row(self, monkeypatch):
+        # three exponentials per series row, independent of the span; a
+        # cos/sin table over this span-3000 grid takes 2 (Q + B) = 220
+        env = sample_environment(10_000, AlphaParams(0.9), RngSeed(14))
+        evaluated = {"count": 0}
+        for name in ("exp", "cos", "sin"):
+            fn = getattr(np, name)
+
+            def counting(x, *args, _fn=fn, **kwargs):
+                evaluated["count"] += np.size(x)
+                return _fn(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counting)
+        series_values(CosineSeries(env), np.arange(-1500, 1500))
+        assert 0 < evaluated["count"] <= 3 * len(env)
+
+
 class TestShift:
     def test_zero_shift_identity(self):
         env = sample_environment(32, AlphaParams(0.5), RngSeed(6))
@@ -198,6 +240,23 @@ class TestShift:
             lhs = series_value(CosineSeries(shift_environment(env, l)), k)
             rhs = series_value(s, k + l)
             assert lhs == rhs  # dyadic phases make this exact
+
+    @pytest.mark.parametrize(
+        "ks, l",
+        [
+            (np.arange(-40, 41), 1),
+            (np.array([-300, -5, 0, 17, 1000]), -999),
+            (np.arange(-1000, 1000), 123_457),
+            (np.arange(998_000, 999_000), -1_000_000),
+        ],
+        ids=["unit", "non-contiguous", "2000-wide", "far"],
+    )
+    def test_ergodic_identity_exact_vectorized(self, ks, l):
+        # 20000 terms: several row chunks of series_values
+        env = sample_environment(20_000, AlphaParams(0.9), RngSeed(7))
+        lhs = series_values(CosineSeries(shift_environment(env, l)), ks)
+        rhs = series_values(CosineSeries(env), ks + l)
+        assert np.array_equal(lhs, rhs)
 
     def test_round_trip(self):
         env = sample_environment(64, AlphaParams(1.5), RngSeed(8))
@@ -288,32 +347,54 @@ class TestOperatorWindow:
         # the complex window built from the scalar kernel definition, at
         # small (w, l): the real window is its Phi-conjugate, and the
         # spectral measures at u and Phi u (and at e_0) coincide
-        l = data.draw(st.integers(min_value=1, max_value=2 * w))
-        env = sample_environment(64, AlphaParams(0.5, 0.5), RngSeed(seed))
-        lv = TruncationLevels(m=2.0, k=8, l=l, w=w, j=64)
-        win = operator_window(env, lv)
-        assert win.matrix.dtype == np.float64
-        ks = np.arange(-w, w + 1)
-        ms = np.arange(-w - l, w + l + 1)
-        series = CosineSeries(env, terms=64, clip=2.0, top_k=8)
-        diag = np.array([series_value(series, int(m)) for m in ms])
-        a = _complex_block(ks, ms, l)
-        full = (a * diag) @ a.conj().T
-        np.testing.assert_allclose(win.matrix, _gauge(full, ks, ks), rtol=0, atol=1e-13)
-        u = np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
-        u /= np.linalg.norm(u)
-        phi_u = projection_unit_vector(w)
-        phi_u /= np.linalg.norm(phi_u)
-        for real_vec, complex_vec in ((phi_u, u), (win.basis_vector(0),) * 2):
-            real_m = spectral_measure_at(win.matrix, real_vec)
-            complex_m = spectral_measure_at(full, complex_vec)
-            assert len(real_m) == len(complex_m)
-            np.testing.assert_allclose(
-                real_m.locations, complex_m.locations, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                real_m.weights, complex_m.weights, rtol=0, atol=1e-12
-            )
+        _check_gauge_of_complex_window(w, data.draw(st.integers(1, 2 * w)), seed)
+
+    @pytest.mark.parametrize("w, l, seed", [(10, 18, 987704), (12, 22, 676388)])
+    def test_gauge_measures_agree_at_near_degenerate_eigenvalues(self, w, l, seed):
+        # near-degenerate eigenvalues: eigh splits their joint weight
+        # differently for the real and the complex window, moving per-atom
+        # weights by 1.2e-12 and 2.2e-12
+        _check_gauge_of_complex_window(w, l, seed)
+
+
+def _cluster_starts(locations, gap):
+    """Indices opening each run of sorted locations closer than gap."""
+    return np.flatnonzero(np.diff(locations, prepend=-np.inf) >= gap)
+
+
+def _check_gauge_of_complex_window(w, l, seed):
+    env = sample_environment(64, AlphaParams(0.5, 0.5), RngSeed(seed))
+    lv = TruncationLevels(m=2.0, k=8, l=l, w=w, j=64)
+    win = operator_window(env, lv)
+    assert win.matrix.dtype == np.float64
+    ks = np.arange(-w, w + 1)
+    ms = np.arange(-w - l, w + l + 1)
+    series = CosineSeries(env, terms=64, clip=2.0, top_k=8)
+    diag = np.array([series_value(series, int(m)) for m in ms])
+    a = _complex_block(ks, ms, l)
+    full = (a * diag) @ a.conj().T
+    np.testing.assert_allclose(win.matrix, _gauge(full, ks, ks), rtol=0, atol=1e-13)
+    u = np.sqrt(2.0) * _complex_block(ks, [0], 2 * w)[:, 0]
+    u /= np.linalg.norm(u)
+    phi_u = projection_unit_vector(w)
+    phi_u /= np.linalg.norm(phi_u)
+    # an eigenvector's weight moves by about eps * |A| / gap under rounding,
+    # so weights are compared per cluster of eigenvalues within 1e-3 |A|
+    gap = 1e-3 * np.linalg.norm(win.matrix, 2)
+    for real_vec, complex_vec in ((phi_u, u), (win.basis_vector(0),) * 2):
+        real_m = spectral_measure_at(win.matrix, real_vec)
+        complex_m = spectral_measure_at(full, complex_vec)
+        assert len(real_m) == len(complex_m)
+        np.testing.assert_allclose(
+            real_m.locations, complex_m.locations, rtol=0, atol=1e-12
+        )
+        starts = _cluster_starts(real_m.locations, gap)
+        np.testing.assert_allclose(
+            np.add.reduceat(real_m.weights, starts),
+            np.add.reduceat(complex_m.weights, starts),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestUnitVector:
