@@ -101,17 +101,22 @@ def _hankel(vals: np.ndarray, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, cols)
 
 
-def _toeplitz(c: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
-    """Toeplitz matrix with first column c and first row r (r[0] ignored);
-    r = conj(c) by default, so Hermitian when c[0] is real.  Equal element
-    for element to ``scipy.linalg.toeplitz(c, r)``.
+def _toeplitz_view(c: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """Strided view of the Toeplitz matrix with first column c and first row
+    r (r[0] ignored); r = conj(c) by default, so Hermitian when c[0] is real.
 
     T(i, j) = vals[len(c) - 1 - i + j] for vals = (c reversed, r[1:]): the
-    Hankel view of vals with its rows reversed, copied once.
+    Hankel view of vals with its rows reversed.
     """
     c = np.asarray(c)
     r = c.conj() if r is None else np.asarray(r)
-    return _hankel(np.concatenate([c[::-1], r[1:]]), r.shape[0])[::-1].copy()
+    return _hankel(np.concatenate([c[::-1], r[1:]]), r.shape[0])[::-1]
+
+
+def _toeplitz(c: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
+    """``_toeplitz_view(c, r)`` copied into its own array; equal element for
+    element to ``scipy.linalg.toeplitz(c, r)``."""
+    return _toeplitz_view(c, r).copy()
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
@@ -126,9 +131,38 @@ def build_toeplitz(entries: EntrySequence) -> np.ndarray:
     return _toeplitz(entries.b)
 
 
-def _split_eigvalsh(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Sorted union of the spectra of the even and odd blocks."""
-    values = [np.linalg.eigvalsh(block) for block in (even, odd) if block.size]
+def _split_eigvalsh(
+    toep: np.ndarray,
+    hank: np.ndarray,
+    weights: np.ndarray | None = None,
+    fixed: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Sorted union of the spectra of the even block toep + hank and the odd
+    block toep - hank, each times ``weights`` entrywise when given.
+
+    Both blocks are built in turn in one m x m array, so a solve holds one
+    block (besides the copy ``eigvalsh`` makes of it) while toep and hank
+    stay strided views.  ``fixed`` lists the coordinates that are their own
+    mirror image, which only odd sizes have; they must lie at the ends.
+    They leave the odd block, which is then the interior of the array.  In
+    the even block their rows and columns carry a factor 1/sqrt(2): inside
+    ``weights`` when given, applied here otherwise.
+    """
+    m = toep.shape[0]
+    block = np.empty((m, m))
+    inner = slice(int(0 in fixed), m - int(m - 1 in fixed))
+    values = []
+    for combine, keep in ((np.add, slice(None)), (np.subtract, inner)):
+        combine(toep, hank, out=block)
+        if weights is not None:
+            block *= weights
+        else:
+            for i in fixed:
+                block[i, :] *= np.sqrt(0.5)
+                block[:, i] *= np.sqrt(0.5)
+        part = block[keep, keep]
+        if part.size:
+            values.append(np.linalg.eigvalsh(part))
     return np.sort(np.concatenate(values))
 
 
@@ -148,15 +182,8 @@ def toeplitz_eigvalsh(b) -> np.ndarray:
     if n == 1:
         return b.copy()
     m = (n + 1) // 2
-    toep = _toeplitz(b[:m])
     hank = _hankel(b[::-1][: 2 * m - 1], m)
-    even = toep + hank
-    odd = toep - hank
-    if n % 2:
-        even[-1, :] *= np.sqrt(0.5)
-        even[:, -1] *= np.sqrt(0.5)
-        odd = odd[:-1, :-1]
-    return _split_eigvalsh(even, odd)
+    return _split_eigvalsh(_toeplitz_view(b[:m]), hank, fixed=(m - 1,) if n % 2 else ())
 
 
 def circulant_symbol(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarray:
@@ -323,15 +350,11 @@ def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     q = band[(n // 2 + 1 + t) % (2 * n)]
     if parity:
         q[[0, -1]] *= np.sqrt(0.5)
-    toep = _toeplitz(symbol[:size])
     # (t + u + 1 - parity) mod 2N wraps only at t = u = N for odd N
     hank = _hankel(np.concatenate([symbol, symbol[:1]])[1 - parity :], size)[:size]
     weights = q[:, None] * q[None, :]
-    even = weights * (toep + hank)
-    odd = weights * (toep - hank)
-    if parity:
-        odd = odd[1:-1, 1:-1]
-    return _split_eigvalsh(even, odd)
+    fixed = (0, size - 1) if parity else ()
+    return _split_eigvalsh(_toeplitz_view(symbol[:size]), hank, weights, fixed)
 
 
 def sandwich(p: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -342,8 +343,72 @@ def _band(n, l):
     return q, pl, q_warned, len(caught) - q_warned
 
 
+def _blocks_eigvalsh(even, odd):
+    """Sorted eigenvalues of explicitly built even and odd blocks."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(x) for x in (even, odd) if x.size]))
+
+
+def _toeplitz_split_oracle(b):
+    """``toeplitz_eigvalsh`` from A = toeplitz(b[:m]) and H(i, j) =
+    b[n-1-i-j] built by indexing, each block in its own array."""
+    n = b.size
+    if n == 1:
+        return b.copy()
+    m = (n + 1) // 2
+    i = np.arange(m)
+    a = b[np.abs(i[:, None] - i[None, :])]
+    h = b[n - 1 - i[:, None] - i[None, :]]
+    even, odd = a + h, a - h
+    if n % 2:
+        even[-1, :] *= np.sqrt(0.5)
+        even[:, -1] *= np.sqrt(0.5)
+        odd = odd[:-1, :-1].copy()
+    return _blocks_eigvalsh(even, odd)
+
+
+def _stage_split_oracle(c, band):
+    """``stage_eigvals(c, band)`` from q q^T * (toep +- hank) built by
+    indexing the circulant symbol, each block in its own array."""
+    n = c.size
+    s = np.concatenate([[2.0 * c[0]], c[1:], [0.0], c[:0:-1]])
+    parity = n % 2
+    t = np.arange(n + parity)
+    q = band[(n // 2 + 1 + t) % (2 * n)]
+    if parity:
+        q[[0, -1]] *= np.sqrt(0.5)
+    toep = s[np.abs(t[:, None] - t[None, :])]
+    hank = s[(t[:, None] + t[None, :] + 1 - parity) % (2 * n)]
+    weights = q[:, None] * q[None, :]
+    even, odd = weights * (toep + hank), weights * (toep - hank)
+    if parity:
+        odd = odd[1:-1, 1:-1].copy()
+    return _blocks_eigvalsh(even, odd)
+
+
+def _peak_blocks(solve, m):
+    """tracemalloc peak of ``solve()`` in units of one m x m float block."""
+    tracemalloc.start()
+    try:
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * m * m)
+
+
 class TestToeplitzEigvalsh:
     """Half-size solves against the dense N x N oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(coefficients(max_size=64))
+    def test_bit_identical_to_explicit_blocks(self, b):
+        np.testing.assert_array_equal(toeplitz_eigvalsh(b), _toeplitz_split_oracle(b))
+
+    def test_working_memory_is_one_block(self):
+        # one ceil(n/2)^2 block; numpy's own copy inside eigvalsh is not traced
+        for n in (2048, 2047):
+            b = _entries(n, seed=n, alpha=0.5).b
+            assert _peak_blocks(lambda: toeplitz_eigvalsh(b), (n + 1) // 2) <= 1.1
 
     @settings(max_examples=120, deadline=None)
     @given(coefficients(max_size=64))
@@ -358,6 +423,7 @@ class TestToeplitzEigvalsh:
             want = np.linalg.eigvalsh(build_toeplitz(e))
             tol = 1e-13 * max(1.0, np.abs(e.b).sum())
             np.testing.assert_allclose(toeplitz_eigvalsh(e.b), want, rtol=0, atol=tol)
+            np.testing.assert_array_equal(toeplitz_eigvalsh(e.b), _toeplitz_split_oracle(e.b))
 
 
 class TestStageSpectra:
@@ -385,14 +451,29 @@ class TestStageSpectra:
             np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
 
     def test_split_stage_at_larger_sizes(self):
-        # odd and even N against the dense sandwich
-        for n in (17, 64, 255):
+        # odd and even N against the dense sandwich and the explicit blocks
+        for n in (17, 64, 255, 256):
             for l in (0, 1, 8, n - 1):
                 c = clip_entries(_entries(n, seed=l + 3, alpha=0.6).b, 4.0)
                 q, pl, _, _ = _band(n, l)
                 want = np.linalg.eigvalsh(sandwich(pl, cosine_spectrum(c)))
                 tol = 1e-12 * max(1.0, np.abs(c).sum())
                 np.testing.assert_allclose(stage_eigvals(c, q), want, rtol=0, atol=tol)
+                np.testing.assert_array_equal(stage_eigvals(c, q), _stage_split_oracle(c, q))
+
+    @settings(max_examples=80, deadline=None)
+    @given(coefficients(max_size=64), st.data())
+    def test_bit_identical_to_explicit_blocks(self, c, data):
+        n = c.size
+        q, _, _, _ = _band(n, data.draw(st.integers(min_value=0, max_value=n + 2)))
+        np.testing.assert_array_equal(stage_eigvals(c, q), _stage_split_oracle(c, q))
+
+    def test_working_memory_is_two_blocks(self):
+        # the block and the q q^T weights, each of side n + n % 2
+        for n in (512, 511):
+            c = clip_entries(_entries(n, seed=n, alpha=0.6).b, 4.0)
+            q = projection_symbol(n, 8)
+            assert _peak_blocks(lambda: stage_eigvals(c, q), n + n % 2) <= 2.1
 
     def test_untruncated_stage_ends_in_exact_zeros(self):
         c = _entries(12, seed=4).b

@@ -139,8 +139,18 @@ class TestSpectralMeasure:
             spectral_measure_at(np.eye(2), np.array([1.0, 1.0]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            spectral_measure_at(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
+        e0 = np.array([1.0, 0.0])
+        # real, and complex symmetric: equal to its transpose, not to its adjoint
+        for a in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [1j, 0.0]])):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                spectral_measure_at(a, e0)
+
+    def test_asymmetry_is_relative_to_largest_magnitude(self):
+        # the largest entry is negative: 1e-5 of asymmetry is within
+        # 1e-10 * 1e6, so the matrix is accepted
+        a = np.array([[-1e6, 1e-5], [0.0, 0.0]])
+        m = spectral_measure_at(a, np.array([1.0, 0.0]))
+        np.testing.assert_allclose(m.weights.sum(), 1.0)
 
 
 class TestVectorMoment:
