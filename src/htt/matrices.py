@@ -38,6 +38,7 @@ dense oracle.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,32 +135,23 @@ def build_toeplitz(entries: EntrySequence) -> np.ndarray:
 def _split_eigvalsh(
     toep: np.ndarray,
     hank: np.ndarray,
-    weights: np.ndarray | None = None,
-    fixed: tuple[int, ...] = (),
+    scale: Callable[[np.ndarray], None] | None = None,
+    inner: slice = slice(None),
 ) -> np.ndarray:
-    """Sorted union of the spectra of the even block toep + hank and the odd
-    block toep - hank, each times ``weights`` entrywise when given.
+    """Sorted union of the spectra of the even block toep + hank and of the
+    odd block toep - hank restricted to ``inner``, each rescaled in place
+    by ``scale`` when given.
 
     Both blocks are built in turn in one m x m array, so a solve holds one
     block (besides the copy ``eigvalsh`` makes of it) while toep and hank
-    stay strided views.  ``fixed`` lists the coordinates that are their own
-    mirror image, which only odd sizes have; they must lie at the ends.
-    They leave the odd block, which is then the interior of the array.  In
-    the even block their rows and columns carry a factor 1/sqrt(2): inside
-    ``weights`` when given, applied here otherwise.
+    stay strided views.
     """
-    m = toep.shape[0]
-    block = np.empty((m, m))
-    inner = slice(int(0 in fixed), m - int(m - 1 in fixed))
+    block = np.empty(toep.shape)
     values = []
     for combine, keep in ((np.add, slice(None)), (np.subtract, inner)):
         combine(toep, hank, out=block)
-        if weights is not None:
-            block *= weights
-        else:
-            for i in fixed:
-                block[i, :] *= np.sqrt(0.5)
-                block[:, i] *= np.sqrt(0.5)
+        if scale is not None:
+            scale(block)
         part = block[keep, keep]
         if part.size:
             values.append(np.linalg.eigvalsh(part))
@@ -182,8 +174,16 @@ def toeplitz_eigvalsh(b) -> np.ndarray:
     if n == 1:
         return b.copy()
     m = (n + 1) // 2
+    toep = _toeplitz_view(b[:m])
     hank = _hankel(b[::-1][: 2 * m - 1], m)
-    return _split_eigvalsh(_toeplitz_view(b[:m]), hank, fixed=(m - 1,) if n % 2 else ())
+    if n % 2 == 0:
+        return _split_eigvalsh(toep, hank)
+
+    def halve_middle(block: np.ndarray) -> None:
+        block[-1, :] *= np.sqrt(0.5)
+        block[:, -1] *= np.sqrt(0.5)
+
+    return _split_eigvalsh(toep, hank, halve_middle, slice(None, -1))
 
 
 def circulant_symbol(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarray:
@@ -352,9 +352,14 @@ def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
         q[[0, -1]] *= np.sqrt(0.5)
     # (t + u + 1 - parity) mod 2N wraps only at t = u = N for odd N
     hank = _hankel(np.concatenate([symbol, symbol[:1]])[1 - parity :], size)[:size]
-    weights = q[:, None] * q[None, :]
-    fixed = (0, size - 1) if parity else ()
-    return _split_eigvalsh(_toeplitz_view(symbol[:size]), hank, weights, fixed)
+
+    def weigh(block: np.ndarray) -> None:
+        # row by row, so the q q^T weights never fill a block of their own
+        for i, qi in enumerate(q):
+            block[i] *= qi * q
+
+    inner = slice(1, -1) if parity else slice(None)
+    return _split_eigvalsh(_toeplitz_view(symbol[:size]), hank, weigh, inner)
 
 
 def sandwich(p: np.ndarray, d: np.ndarray) -> np.ndarray:

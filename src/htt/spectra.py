@@ -125,11 +125,6 @@ def esd(values) -> PointMeasure:
     return PointMeasure.from_atoms(values, np.full(values.size, 1.0 / values.size))
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """max |x| of a real array as max(max, -min), with no |x| temporary."""
-    return max(x.max(), -x.min())
-
-
 def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     """Spectral measure of Hermitian a at the unit vector v: atoms at the
     eigenvalues with weights |<v, phi_i>|^2.  Eigenvalues the vector has
@@ -139,14 +134,8 @@ def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"v must be a unit vector, got norm {nrm!r}")
     a = np.asarray(a)
-    if np.iscomplexobj(a):
-        scale = np.abs(a).max() if a.size else 0.0
-        asym = np.abs(a - a.conj().T).max()
-    else:
-        # a.T is a view, where a.conj() would copy; the difference is
-        # freed before eigh, so it adds nothing to the solve's peak
-        scale = _max_abs(a) if a.size else 0.0
-        asym = _max_abs(a - a.T)
+    scale = np.abs(a).max() if a.size else 0.0
+    asym = np.abs(a - a.conj().T).max()
     if asym > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian: max asymmetry {asym:g}")
     values, vectors = np.linalg.eigh(a)

@@ -399,11 +399,6 @@ def _peak_blocks(solve, m):
 class TestToeplitzEigvalsh:
     """Half-size solves against the dense N x N oracle."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(coefficients(max_size=64))
-    def test_bit_identical_to_explicit_blocks(self, b):
-        np.testing.assert_array_equal(toeplitz_eigvalsh(b), _toeplitz_split_oracle(b))
-
     def test_working_memory_is_one_block(self):
         # one ceil(n/2)^2 block; numpy's own copy inside eigvalsh is not traced
         for n in (2048, 2047):
@@ -416,6 +411,7 @@ class TestToeplitzEigvalsh:
         want = np.linalg.eigvalsh(build_toeplitz(_fixed_entries(b)))
         tol = 1e-13 * max(1.0, np.abs(b).sum())
         np.testing.assert_allclose(toeplitz_eigvalsh(b), want, rtol=0, atol=tol)
+        np.testing.assert_array_equal(toeplitz_eigvalsh(b), _toeplitz_split_oracle(b))
 
     def test_heavy_tailed_entries(self):
         for n in (255, 256):
@@ -449,6 +445,7 @@ class TestStageSpectra:
         for got, p in ((stage_eigvals(c), projection_matrix(n)), (stage_eigvals(c, q), pl)):
             want = np.linalg.eigvalsh(sandwich(p, d))
             np.testing.assert_allclose(np.sort(got), want, rtol=0, atol=tol)
+        np.testing.assert_array_equal(stage_eigvals(c, q), _stage_split_oracle(c, q))
 
     def test_split_stage_at_larger_sizes(self):
         # odd and even N against the dense sandwich and the explicit blocks
@@ -461,19 +458,12 @@ class TestStageSpectra:
                 np.testing.assert_allclose(stage_eigvals(c, q), want, rtol=0, atol=tol)
                 np.testing.assert_array_equal(stage_eigvals(c, q), _stage_split_oracle(c, q))
 
-    @settings(max_examples=80, deadline=None)
-    @given(coefficients(max_size=64), st.data())
-    def test_bit_identical_to_explicit_blocks(self, c, data):
-        n = c.size
-        q, _, _, _ = _band(n, data.draw(st.integers(min_value=0, max_value=n + 2)))
-        np.testing.assert_array_equal(stage_eigvals(c, q), _stage_split_oracle(c, q))
-
-    def test_working_memory_is_two_blocks(self):
-        # the block and the q q^T weights, each of side n + n % 2
+    def test_working_memory_is_one_block(self):
+        # one block of side n + n % 2; the q q^T weights are applied row by row
         for n in (512, 511):
             c = clip_entries(_entries(n, seed=n, alpha=0.6).b, 4.0)
             q = projection_symbol(n, 8)
-            assert _peak_blocks(lambda: stage_eigvals(c, q), n + n % 2) <= 2.1
+            assert _peak_blocks(lambda: stage_eigvals(c, q), n + n % 2) <= 1.1
 
     def test_untruncated_stage_ends_in_exact_zeros(self):
         c = _entries(12, seed=4).b
