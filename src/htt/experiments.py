@@ -16,10 +16,11 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import resource
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,9 @@ def load_config(path, experiment: str, overrides: dict | None = None) -> Experim
     return config_from_mapping(experiment, mapping)
 
 
+_CHECK_OPS = {"<=": operator.le, ">=": operator.ge}
+
+
 @dataclass
 class CheckRecord:
     """One verified statement: observed value vs threshold.
@@ -306,14 +310,7 @@ class CheckRecord:
     direction: str = "<="
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "passed": bool(self.passed),
-            "basis": self.basis,
-            "direction": self.direction,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -328,16 +325,12 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def check(self, name, observed, threshold, basis, direction="<="):
-        ops = {
-            "<=": lambda a, b: a <= b,
-            ">=": lambda a, b: a >= b,
-        }
         observed = float(observed)
         rec = CheckRecord(
             name=name,
             observed=observed,
             threshold=float(threshold),
-            passed=ops[direction](observed, float(threshold)),
+            passed=_CHECK_OPS[direction](observed, float(threshold)),
             basis=basis,
             direction=direction,
         )
@@ -829,7 +822,7 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         entries = sample_entries(n, params, seed.with_stream(r))
         # dilation factor on its own stream, independent of the entries
         theta = int(seed.with_stream(100_000 + r).generator().integers(0, 2 * n))
-        sigma = entries.order[:k]
+        sigma = entries.top(k)
         coords[r] = (theta * sigma % (2 * n)) / (2 * n)
 
     # scipy.stats costs about a second to import; equidist is its only user

@@ -316,7 +316,7 @@ def topk_coefficients(entries: EntrySequence, m: float, k: int) -> np.ndarray:
     n = len(entries)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    top = entries.order[:k]
+    top = entries.top(k)
     c = np.zeros(n)
     c[top] = clip_entries(entries.b[top], m)
     return c

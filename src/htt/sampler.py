@@ -81,24 +81,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntrySequence:
-    """Raw entries a, normalizer c_n, scaled entries b = a / c_n, and the
-    permutation ``order`` sorting |b| in descending order (stable: ties keep
-    the lower original index first)."""
+    """Normalizer c_n and scaled entries b = a / c_n of the raw entries a.
 
-    a: np.ndarray
+    ``top(k)`` returns the positions of the k largest |b| in descending
+    magnitude; ties keep the lower index first.
+    """
+
     c_n: float
     b: np.ndarray
-    order: np.ndarray
-    sorted_abs: np.ndarray
     alpha: float
     p: float
 
     def __post_init__(self):
-        for f in (self.a, self.b, self.order, self.sorted_abs):
-            _freeze(f)
+        _freeze(self.b)
 
     def __len__(self) -> int:
-        return self.a.shape[0]
+        return self.b.shape[0]
+
+    def top(self, k: int) -> np.ndarray:
+        """Positions of the k largest |b|: a stable argsort of -|b| cut at k."""
+        return np.argsort(-np.abs(self.b), kind="stable")[:k]
 
 
 @dataclass(frozen=True)
@@ -153,17 +155,7 @@ def entries_from_uniforms(v, signs, params: AlphaParams) -> EntrySequence:
     a = signs * v ** (-1.0 / params.alpha)
     c_n = normalizer(v.size, params.alpha)
     b = a / c_n
-    # stable argsort of -|b|: descending magnitude, ties keep lower index
-    order = np.argsort(-np.abs(b), kind="stable")
-    return EntrySequence(
-        a=a,
-        c_n=c_n,
-        b=b,
-        order=order,
-        sorted_abs=np.abs(b)[order],
-        alpha=params.alpha,
-        p=params.p,
-    )
+    return EntrySequence(c_n=c_n, b=b, alpha=params.alpha, p=params.p)
 
 
 def sample_entries(n: int, params: AlphaParams, seed: RngSeed) -> EntrySequence:
@@ -197,7 +189,7 @@ def coupled_entry_draws(n_list, params: AlphaParams, seed: RngSeed) -> dict:
     """
     gamma, signs, _, layout = _coupled_layout(n_list, params.p, seed)
     draws = {}
-    for n, (positions, _) in layout.items():
+    for n, positions in layout.items():
         v = np.empty(n)
         s = np.empty(n)
         v[positions] = gamma[:n] / gamma[n]
@@ -209,7 +201,7 @@ def coupled_entry_draws(n_list, params: AlphaParams, seed: RngSeed) -> dict:
 def _coupled_layout(n_list, p: float, seed: RngSeed):
     """Shared draws behind coupled_entry_draws: arrival times gamma
     (n_max + 1), signs by rank (n_max), relative positions zeta of the top
-    ranks, and per size n the pair (positions, redrawn) from _place_ranks."""
+    ranks, and per size n the positions from _place_ranks."""
     sizes = sorted({int(n) for n in n_list})
     if not sizes or sizes[0] < 1:
         raise ValueError(f"sizes must be >= 1, got {list(n_list)}")
@@ -232,24 +224,22 @@ def _place_ranks(zeta, n: int, rng: np.random.Generator):
 
     Top rank i proposes cell floor(zeta_i * n); a taken cell is replaced by
     a uniform free one, so each top rank lands uniformly among the cells
-    still free.  The other ranks take the remaining cells in uniform random
-    order.  Returns (positions, redrawn) with redrawn[i] marking top ranks
-    that did not get their proposed cell.
+    still free, and it was redrawn exactly when positions[i] differs from
+    floor(zeta_i * n).  The other ranks take the remaining cells in uniform
+    random order.
     """
     top = min(len(zeta), n)
     cells = (zeta[:top] * n).astype(np.int64)  # zeta < 1, so every cell < n
     positions = np.empty(n, dtype=np.int64)
-    redrawn = np.zeros(top, dtype=bool)
     taken = np.zeros(n, dtype=bool)
     for i, cell in enumerate(cells):
         if taken[cell]:
             free = np.flatnonzero(~taken)
             cell = free[rng.integers(free.size)]
-            redrawn[i] = True
         positions[i] = cell
         taken[cell] = True
     positions[top:] = rng.permutation(np.flatnonzero(~taken))
-    return positions, redrawn
+    return positions
 
 
 def _dyadic_uniform(rng: np.random.Generator, size: int, scale_bits: int) -> np.ndarray:

@@ -218,15 +218,11 @@ def mc_limit_measure(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_limit_measure_replica_star, tasks))
+            results = list(pool.map(_limit_measure_replica, *zip(*tasks)))
     else:
         results = [_limit_measure_replica(*t) for t in tasks]
     pooled = PointMeasure.pooled([m for draws in results for m in draws])
     return replace(pooled, replica_ids=pooled.replica_ids // inner)
-
-
-def _limit_measure_replica_star(args):
-    return _limit_measure_replica(*args)
 
 
 def quenched_sub_measure(pooled: PointMeasure, replica: int) -> PointMeasure:

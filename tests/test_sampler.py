@@ -52,37 +52,63 @@ class TestEntries:
         # v**(-1/alpha) at alpha=1: |a| = (4, 2, ~1); c_3 = 3
         params = AlphaParams(1.0, 1.0)
         e = entries_from_uniforms([0.25, 0.5, 1.0 - 1e-12], [1.0, 1.0, 1.0], params)
-        np.testing.assert_allclose(e.a, [4.0, 2.0, 1.0], rtol=1e-9)
         assert e.c_n == 3.0
         np.testing.assert_allclose(e.b, [4.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0], rtol=1e-9)
-        np.testing.assert_array_equal(e.order, [0, 1, 2])
-        np.testing.assert_allclose(e.sorted_abs, np.abs(e.b)[e.order])
+        np.testing.assert_array_equal(e.top(3), [0, 1, 2])
+        # b is exactly the inverse-CDF value divided by c_n, at any alpha
+        params = AlphaParams(0.5, 0.4)
+        rng = np.random.default_rng(1)
+        v = 1.0 - rng.random(100)
+        signs = np.where(rng.random(100) < params.p, 1.0, -1.0)
+        e = entries_from_uniforms(v, signs, params)
+        assert e.c_n == 100.0**2
+        np.testing.assert_array_equal(e.b, signs * v ** (-1.0 / params.alpha) / e.c_n)
 
     def test_one_sided_tail(self):
         e = sample_entries(500, AlphaParams(1.0, 1.0), RngSeed(5))
-        assert np.all(e.a >= 1.0)
+        # a >= 1, and rounded division is monotone, so b >= 1 / c_n exactly
+        assert np.all(e.b >= 1.0 / e.c_n)
 
     def test_reproducible(self):
         a = sample_entries(64, AlphaParams(0.7, 0.4), RngSeed(9, 3))
         b = sample_entries(64, AlphaParams(0.7, 0.4), RngSeed(9, 3))
-        np.testing.assert_array_equal(a.a, b.a)
-        np.testing.assert_array_equal(a.order, b.order)
+        np.testing.assert_array_equal(a.b, b.b)
+        np.testing.assert_array_equal(a.top(64), b.top(64))
         c = sample_entries(64, AlphaParams(0.7, 0.4), RngSeed(9, 4))
-        assert not np.array_equal(a.a, c.a)
-
-    def test_b_scaling_exact(self):
-        e = sample_entries(100, AlphaParams(0.5), RngSeed(1))
-        np.testing.assert_array_equal(e.b, e.a / e.c_n)
+        assert not np.array_equal(a.b, c.b)
 
     def test_order_is_descending_permutation(self):
-        e = sample_entries(200, AlphaParams(1.2, 0.3), RngSeed(2))
-        assert sorted(e.order.tolist()) == list(range(200))
-        assert np.all(np.diff(e.sorted_abs) <= 0)
+        n = 200
+        e = sample_entries(n, AlphaParams(1.2, 0.3), RngSeed(2))
+        order = e.top(n)
+        assert sorted(order.tolist()) == list(range(n))
+        assert np.all(np.diff(np.abs(e.b)[order]) <= 0)
+        for k in (1, 7, n - 1):
+            np.testing.assert_array_equal(e.top(k), order[:k])
 
     def test_order_tie_break_lower_index_first(self):
         params = AlphaParams(1.0, 1.0)
         e = entries_from_uniforms([0.5, 0.25, 0.5], [1.0, 1.0, 1.0], params)
-        np.testing.assert_array_equal(e.order, [1, 0, 2])
+        np.testing.assert_array_equal(e.top(3), [1, 0, 2])
+        np.testing.assert_array_equal(e.top(2), [1, 0])
+        # opposite signs tie on magnitude too; a cut inside a tie keeps
+        # the lower indices
+        e = entries_from_uniforms([0.5, 0.5, 0.125, 0.5, 0.5],
+                                  [-1.0, 1.0, 1.0, -1.0, 1.0], params)
+        np.testing.assert_array_equal(e.top(5), [2, 0, 1, 3, 4])
+        for k in (1, 2, 3, 4):
+            np.testing.assert_array_equal(e.top(k), [2, 0, 1, 3][:k])
+
+    def test_draws_run_no_sort(self, monkeypatch):
+        # a draw stores b alone; sorting waits for the first top(k) query
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("argsort called while drawing")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        params = AlphaParams(0.7, 0.4)
+        assert len(sample_entries(64, params, RngSeed(3))) == 64
+        draws = coupled_entry_draws((4, 64, 100), params, RngSeed(3))
+        assert {n: len(e) for n, e in draws.items()} == {4: 4, 64: 64, 100: 100}
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -95,7 +121,7 @@ class TestEntries:
         n = 1_000_000
         alpha = 0.5
         e = sample_entries(n, AlphaParams(alpha), RngSeed(77))
-        mags = np.abs(e.a)
+        mags = np.abs(e.b) * e.c_n
         for t in (2.0, 8.0, 32.0):
             q = t**-alpha
             se = np.sqrt(q * (1 - q) / n)
@@ -106,7 +132,7 @@ class TestEntries:
         p = 0.3
         e = sample_entries(n, AlphaParams(0.8, p), RngSeed(11))
         se = np.sqrt(p * (1 - p) / n)
-        assert abs(np.mean(e.a > 0) - p) <= 3 * se
+        assert abs(np.mean(e.b > 0) - p) <= 3 * se
 
 
 class TestCoupledEntries:
@@ -121,22 +147,28 @@ class TestCoupledEntries:
         alpha = 0.7
         reps = self._replicas(AlphaParams(alpha), 200)
         for n in self.SIZES:
-            mags = np.abs(np.concatenate([d[n].a for d in reps]))
-            assert np.all(mags >= 1.0)
+            c_n = reps[0][n].c_n
+            scaled = np.abs(np.concatenate([d[n].b for d in reps]))
+            assert np.all(scaled >= 1.0 / c_n)
+            mags = scaled * c_n
             pvalue = scipy.stats.kstest(mags, lambda t: 1.0 - t ** (-alpha)).pvalue
             assert pvalue > 0.01, (n, pvalue)
 
     def test_normalized_like_independent_draws(self):
-        d = coupled_entry_draws((5, 40), AlphaParams(0.5), RngSeed(3))
+        params = AlphaParams(0.5)
+        d = coupled_entry_draws((5, 40), params, RngSeed(3))
+        gamma, signs, _, layout = _coupled_layout((5, 40), params.p, RngSeed(3))
         for n, e in d.items():
             assert len(e) == n
             assert e.c_n == n**2.0
-            np.testing.assert_array_equal(e.b, e.a / e.c_n)
+            # rank i sits at positions[i] with a = sign_i * (G_i / G_{n+1})**-2
+            a = signs[:n] * (gamma[:n] / gamma[n]) ** (-1.0 / params.alpha)
+            np.testing.assert_array_equal(e.b[layout[n]], a / e.c_n)
 
     def test_largest_entry_position_uniform(self):
         reps = self._replicas(AlphaParams(0.5), 2000)
         for n in self.SIZES:
-            counts = np.bincount([d[n].order[0] for d in reps], minlength=n)
+            counts = np.bincount([d[n].top(1)[0] for d in reps], minlength=n)
             pvalue = scipy.stats.chisquare(counts).pvalue
             assert pvalue > 0.01, (n, pvalue)
 
@@ -145,7 +177,7 @@ class TestCoupledEntries:
         # rank-to-cell map must still be uniform over all 24 permutations
         reps = self._replicas(AlphaParams(0.5), 2400, sizes=(4, 16))
         perms = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
-        counts = np.bincount([perms[tuple(d[4].order)] for d in reps],
+        counts = np.bincount([perms[tuple(d[4].top(4))] for d in reps],
                              minlength=math.factorial(4))
         pvalue = scipy.stats.chisquare(counts).pvalue
         assert pvalue > 0.01, pvalue
@@ -154,7 +186,7 @@ class TestCoupledEntries:
         p = 0.3
         reps = self._replicas(AlphaParams(0.8, p), 100)
         for n in self.SIZES:
-            signs = np.concatenate([d[n].a > 0 for d in reps])
+            signs = np.concatenate([d[n].b > 0 for d in reps])
             se = np.sqrt(p * (1 - p) / signs.size)
             assert abs(np.mean(signs) - p) <= 3 * se, n
 
@@ -164,9 +196,9 @@ class TestCoupledEntries:
         b = coupled_entry_draws(self.SIZES, params, RngSeed(9, 3))
         c = coupled_entry_draws(self.SIZES, params, RngSeed(9, 4))
         for n in self.SIZES:
-            np.testing.assert_array_equal(a[n].a, b[n].a)
-            np.testing.assert_array_equal(a[n].order, b[n].order)
-            assert not np.array_equal(a[n].a, c[n].a)
+            np.testing.assert_array_equal(a[n].b, b[n].b)
+            np.testing.assert_array_equal(a[n].top(n), b[n].top(n))
+            assert not np.array_equal(a[n].b, c[n].b)
 
     def test_top_ranks_keep_sign_and_cell(self):
         params = AlphaParams(0.5, 0.5)
@@ -175,17 +207,22 @@ class TestCoupledEntries:
             draws = coupled_entry_draws(self.SIZES, params, seed)
             _, signs, zeta, layout = _coupled_layout(self.SIZES, params.p, seed)
             assert zeta.size == COUPLED_TOP_RANKS
-            for n, (positions, redrawn) in layout.items():
+            for n, positions in layout.items():
                 top = min(n, COUPLED_TOP_RANKS)
-                order = draws[n].order
+                order = draws[n].top(n)
                 np.testing.assert_array_equal(order[:top], positions[:top])
                 # one sign per rank, the same at every size
-                np.testing.assert_array_equal(np.sign(draws[n].a[order]), signs[:n])
+                np.testing.assert_array_equal(np.sign(draws[n].b[order]), signs[:n])
+                # a rank is redrawn exactly when a larger rank already holds
+                # its proposed cell
+                cells = np.floor(zeta[:top] * n).astype(int)
+                redrawn = positions[:top] != cells
                 kept = ~redrawn
-                np.testing.assert_array_equal(
-                    positions[:top][kept], np.floor(zeta[:top][kept] * n).astype(int))
+                np.testing.assert_array_equal(positions[:top][kept], cells[kept])
+                for i in np.flatnonzero(redrawn):
+                    assert cells[i] in positions[:i]
             # rank 0 never collides, so its cell is nested across sizes
-            p16, p256 = layout[16][0][0], layout[256][0][0]
+            p16, p256 = layout[16][0], layout[256][0]
             assert p16 == p256 // 16
 
     def test_place_ranks_redraws_taken_cell(self):
@@ -194,7 +231,9 @@ class TestCoupledEntries:
         seen = set()
         for r in range(30):
             rng = np.random.default_rng(r)
-            positions, redrawn = _place_ranks(np.array([0.5, 0.55, 0.0]), 4, rng)
+            zeta = np.array([0.5, 0.55, 0.0])
+            positions = _place_ranks(zeta, 4, rng)
+            redrawn = positions[:3] != np.floor(zeta * 4)
             assert sorted(positions.tolist()) == [0, 1, 2, 3]
             assert positions[0] == 2 and not redrawn[0]
             assert positions[1] in (0, 1, 3) and redrawn[1]
@@ -263,7 +302,7 @@ class TestEnvironment:
         for name, draw in draws.items():
             tops = np.empty(reps)
             for r in range(reps):
-                tops[r] = draw(RngSeed(1234, r)).sorted_abs[0]
+                tops[r] = np.abs(draw(RngSeed(1234, r)).b).max()
             stat = scipy.stats.ks_2samp(tops, ref).statistic
             assert stat < 0.08, name
 
