@@ -55,6 +55,8 @@ class TestEntries:
         assert e.c_n == 3.0
         np.testing.assert_allclose(e.b, [4.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0], rtol=1e-9)
         np.testing.assert_array_equal(e.top(3), [0, 1, 2])
+
+    def test_b_scaling_exact(self):
         # b is exactly the inverse-CDF value divided by c_n, at any alpha
         params = AlphaParams(0.5, 0.4)
         rng = np.random.default_rng(1)
