@@ -18,6 +18,7 @@ import math
 import numbers
 import operator
 import resource
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -751,16 +752,19 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     a_params = AlphaParams(1.5, config.p)
     k_list = (64, 512, 4096)
     g_w = min(levels.w, 128)
-    g_means = []
     n_growth = max(10, config.replicas // 5)
-    for k_terms in k_list:
-        g_levels = replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
-        tops = []
-        for r in range(n_growth):
-            env = sample_environment(k_list[-1], a_params, seed.with_stream(40_000 + r))
-            window = operator_window(env, g_levels)
-            tops.append(np.abs(np.linalg.eigvalsh(window.matrix)).max())
-        g_means.append(float(np.mean(tops)))
+    g_levels = [
+        replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
+        for k_terms in k_list
+    ]
+    # each environment is drawn once and read at every series length
+    tops = [[] for _ in k_list]
+    for r in range(n_growth):
+        env = sample_environment(k_list[-1], a_params, seed.with_stream(40_000 + r))
+        for lv, lv_tops in zip(g_levels, tops):
+            window = operator_window(env, lv)
+            lv_tops.append(np.abs(np.linalg.eigvalsh(window.matrix)).max())
+    g_means = [float(np.mean(t)) for t in tops]
     for a, b in zip(g_means, g_means[1:]):
         report.check(
             "support_growth",
@@ -885,9 +889,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     report = EXPERIMENTS[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)
     report.provenance["numpy_version"] = np.__version__
-    import scipy  # cheap: scipy loads its submodules on first use
-
-    report.provenance["scipy_version"] = scipy.__version__
+    if "scipy" in sys.modules:  # only runs that used scipy load it
+        report.provenance["scipy_version"] = sys.modules["scipy"].__version__
     # ru_maxrss is in KiB on Linux
     report.provenance["peak_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)

@@ -113,16 +113,48 @@ def test_plot_without_inputs():
     assert main(["plot"]) == EXIT_CONFIG_ERROR
 
 
+def _python(code: str, *args: str) -> str:
+    """Stdout of a fresh interpreter running code with argv[1:] = args."""
+    src = str(Path(htt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_import_skips_scipy_submodules():
     # every htt call pays its imports; only equidist needs scipy.stats
-    code = (
+    out = _python(
         "import sys, htt, htt.cli; "
         "print(' '.join(m for m in ('scipy.linalg', 'scipy.stats', "
         "'scipy.special', 'scipy.sparse') if m in sys.modules))"
     )
-    src = str(Path(htt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
     assert out.split() == []
+
+
+def test_import_builds_no_phase_table():
+    # the cosine series' phase tables are built on first use, not at import
+    out = _python(
+        "import htt, htt.cli; from htt.limit_operator import _turn_tables; "
+        "print(_turn_tables.cache_info().currsize)"
+    )
+    assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("experiment, keys, loads_scipy", [
+    ("esd", "n_list = 8\nreplicas = 2\n", False),
+    ("equidist", "n_list = 64\nreplicas = 20\ntop_coords = 2\n", True),
+])
+def test_report_records_scipy_version_only_when_loaded(tmp_path, experiment, keys,
+                                                       loads_scipy):
+    # a run that never uses scipy leaves it unloaded, and its report says so
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    out = _python(
+        "import sys; from htt.cli import main; "
+        "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)",
+        experiment, "--config", str(cfg), "--out", str(tmp_path / "out"),
+    )
+    assert out.split()[-1] == str(loads_scipy)
+    report = json.loads((tmp_path / "out" / f"report_{experiment}.json").read_text())
+    assert ("scipy_version" in report["provenance"]) == loads_scipy

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from htt.limit_operator import (
     CosineSeries,
+    _turn_of,
+    _turn_tables,
     operator_window,
     projection_entry,
     projection_unit_vector,
@@ -211,8 +214,9 @@ class TestSeriesValues:
         np.testing.assert_allclose(vec[check], scal, rtol=0, atol=1e-14 * scale)
 
     def test_transcendentals_per_row(self, monkeypatch):
-        # three exponentials per series row, independent of the span; a
-        # cos/sin table over this span-3000 grid takes 2 (Q + B) = 220
+        # every row's three factors are read from the phase tables: building
+        # them evaluates 3 * 2**11 turns, once, and no row takes an exp, cos
+        # or sin (a cos/sin table over this span-3000 grid takes 220 per row)
         env = sample_environment(10_000, AlphaParams(0.9), RngSeed(14))
         evaluated = {"count": 0}
         for name in ("exp", "cos", "sin"):
@@ -223,8 +227,55 @@ class TestSeriesValues:
                 return _fn(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, counting)
+        _turn_tables.cache_clear()
         series_values(CosineSeries(env), np.arange(-1500, 1500))
-        assert 0 < evaluated["count"] <= 3 * len(env)
+        first = evaluated["count"]
+        assert 0 < first <= 3 * 2**11
+        series_values(CosineSeries(env), np.arange(-1500, 1500))
+        assert evaluated["count"] == first
+
+    @pytest.mark.parametrize("field", ["u", "zeta"])
+    @pytest.mark.parametrize("bad", [2.0**-40, 0.1, math.nan], ids=["2^-40", "0.1", "nan"])
+    def test_off_grid_phase_raises(self, field, bad):
+        # phases are read as exact indices on the 2**-33 grid; one off it is
+        # an error, never silently rounded
+        env = sample_environment(8, AlphaParams(0.5), RngSeed(15))
+        phases = getattr(env, field).copy()
+        phases[3] += bad
+        s = CosineSeries(replace(env, **{field: phases}))
+        with pytest.raises(ValueError, match="2\\*\\*-33"):
+            series_values(s, np.arange(-4, 5))
+
+    def test_offsets_taken_mod_2_33(self):
+        # phase indices are integers mod 2**33, so offsets 2**33 apart give
+        # the same values bit for bit, far beyond where u + k zeta rounds
+        env = sample_environment(5_000, AlphaParams(0.9), RngSeed(16))
+        s = CosineSeries(env)
+        for ks in (np.arange(-300, 300), np.array([-7, 0, 5, 2**20 + 3])):
+            assert np.array_equal(series_values(s, ks + 2**33), series_values(s, ks))
+
+
+class TestPhaseTables:
+    def test_product_matches_mpmath(self):
+        # exp(2 pi i n / 2**33) from three table entries, against a 40-digit
+        # oracle, at random indices and at every digit's edges: two roundings
+        # near 1e-16 (a plain product of three rounded entries reaches 3.2e-16)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        edges = [0, 1, 2**11 - 1, 2**11, 2**22 - 1, 2**22, 2**31 - 1, 2**31 + 1,
+                 2**32 - 1, 2**32 + 1, 2**33 - 1]
+        n = np.concatenate([edges, rng.integers(0, 2**33, size=3000)]).astype(np.uint64)
+        got = _turn_of(n)
+        with mpmath.workdps(40):
+            exact = [mpmath.expjpi(mpmath.mpf(int(k)) / 2**32) for k in n]
+        err = [abs(mpmath.mpc(complex(g)) - e) for g, e in zip(got, exact)]
+        assert float(max(err)) <= 2.5e-16
+
+    def test_quarter_turns_exact(self):
+        n = np.arange(4, dtype=np.uint64) << np.uint64(31)
+        assert np.array_equal(_turn_of(n), [1.0, 1.0j, -1.0, -1.0j])
+        # indices are taken mod 2**33
+        assert np.array_equal(_turn_of(n + np.uint64(2**33)), _turn_of(n))
 
 
 class TestShift:
@@ -281,8 +332,29 @@ class TestOperatorWindow:
         assert abs(win.matrix[w, w].real - 0.5) < 1e-3
         assert abs(win.matrix[w, w].imag) < 1e-15
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.data(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_banded_assembly_matches_dense_product(self, w, data, seed):
+        # row blocks of the band-2l product against the dense triple product
+        # a diag(d) a^T over the padded inner range; small bands give
+        # several blocks and a short last one
+        l = data.draw(st.one_of(st.integers(0, min(2 * w, 8)), st.integers(0, 2 * w)))
+        diag = np.random.default_rng(seed).standard_normal(2 * (w + l) + 1)
+        ks = np.arange(-w, w + 1)
+        ms = np.arange(-w - l, w + l + 1)
+        a = _gauge(_complex_block(ks, ms, l), ks, ms).real
+        dense = (a * diag) @ a.T
+        win = window_from_diagonal(diag, w, l).matrix
+        np.testing.assert_allclose(win, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
+        assert np.array_equal(win, win.T)
+
+    def test_rejects_diagonal_of_wrong_length(self):
+        with pytest.raises(ValueError):
+            window_from_diagonal(np.ones(2 * (8 + 2)), 8, 2)
+
     def test_huge_arrivals_give_near_zero(self):
-        env = _env([1e12, 2e12], [0.1, 0.2], [0.3, 0.4], alpha=0.5)
+        env = _env([1e12, 2e12], [0.125, 0.25], [0.375, 0.5], alpha=0.5)
         lv = TruncationLevels(m=math.inf, k=2, l=4, w=16, j=2)
         win = operator_window(env, lv)
         assert np.abs(win.matrix).max() < 1e-20

@@ -266,8 +266,8 @@ class TestResolventIdentity:
 
         env = Environment(
             gamma=np.array([1e300, 2e300]),
-            zeta=np.array([0.1, 0.2]),
-            u=np.array([0.3, 0.4]),
+            zeta=np.array([0.125, 0.25]),
+            u=np.array([0.375, 0.5]),
             eps=np.array([1, -1], dtype=np.int64),
             alpha=0.5,
             p=0.5,
