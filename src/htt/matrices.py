@@ -97,6 +97,12 @@ class TruncationLevels:
         return cls(m=m, k=max(1, round(m)), l=l, w=8 * l if w is None else w, j=j)
 
 
+# Rows of a ladder stage block weighted per step by q q^T.  tracemalloc
+# peak of a banded stage at N = 511 and 512, in blocks: 1 and 8 rows 1.082,
+# 16 rows 1.114, 32 rows 1.145, against a working-memory budget of 1.1.
+_WEIGHT_ROWS = 8
+
+
 def _hankel(vals: np.ndarray, cols: int) -> np.ndarray:
     """Strided view H(i, j) = vals[i + j] with ``cols`` columns."""
     return np.lib.stride_tricks.sliding_window_view(vals, cols)
@@ -354,9 +360,11 @@ def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
     hank = _hankel(np.concatenate([symbol, symbol[:1]])[1 - parity :], size)[:size]
 
     def weigh(block: np.ndarray) -> None:
-        # row by row, so the q q^T weights never fill a block of their own
-        for i, qi in enumerate(q):
-            block[i] *= qi * q
+        # _WEIGHT_ROWS rows at a time, so the q q^T weights never fill a block
+        # of their own; each entry gets x * (q_i * q_j) whatever the row count,
+        # so spectra do not depend on it
+        for i in range(0, size, _WEIGHT_ROWS):
+            block[i : i + _WEIGHT_ROWS] *= np.multiply.outer(q[i : i + _WEIGHT_ROWS], q)
 
     inner = slice(1, -1) if parity else slice(None)
     return _split_eigvalsh(_toeplitz_view(symbol[:size]), hank, weigh, inner)

@@ -176,15 +176,18 @@ def _limit_measure_replica(
     seed: RngSeed,
     symmetrize: bool,
 ) -> list[PointMeasure]:
-    """The window measures of one environment's `inner` phase redraws."""
+    """The window measures of one environment under `inner` phase draws:
+    the environment's own phases, then inner - 1 redraws, one between
+    consecutive windows."""
     rng = seed.generator()
     env = _environment_from(rng, levels.j, params)
     measures = []
-    for _ in range(inner):
+    for t in range(inner):
+        if t:
+            env = redraw_phases(env, rng)
         window = operator_window(env, levels)
         measure = window_measure_at_unit_vector(window, levels.core)
         measures.append(measure.mirrored() if symmetrize else measure)
-        env = redraw_phases(env, rng)
     return measures
 
 

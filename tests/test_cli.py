@@ -56,11 +56,16 @@ def test_config_error_exit_code(tmp_path):
         ("esd", "n_list = 8\ntolerances = 3\n"),
         ("esd", "n_list = 8\ntol_esd_identy = 1e-30\n"),
         ("esd", "n_list = 8\ntol_esd_identity = abc\n"),
+        ("esd", "n_list = 8, 16\nreplicas = 1001\n"),
+        ("ladder", "n_list = 8, 16\nreplicas = 1001\n"),
+        ("properties", "replicas = 2001\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
          "top-k-beyond-size", "coupled-key", "boolean", "experiment-key",
-         "tolerances-key", "tolerance-name", "tolerance-value"],
+         "tolerances-key", "tolerance-name", "tolerance-value",
+         "esd-size-streams-overlap", "ladder-size-streams-overlap",
+         "properties-mgf-streams-overlap"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

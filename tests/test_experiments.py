@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from htt import experiments
 from htt.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
@@ -23,10 +24,20 @@ from htt.experiments import (
     run_limit_convergence,
     run_property_suite,
 )
-from htt.matrices import TruncationLevels, build_circulant, build_toeplitz, circulant_symbol
+from htt.matrices import (
+    TruncationLevels,
+    build_circulant,
+    build_toeplitz,
+    circulant_symbol,
+    clip_entries,
+    projection_symbol,
+    stage_eigvals,
+    topk_coefficients,
+)
+from htt.metrics import levy_distance
 from htt.sampler import AlphaParams, RngSeed, default_series_length, sample_entries
 from htt.serialize import load_measure_csv
-from htt.spectra import quenched_sub_measure
+from htt.spectra import esd, quenched_sub_measure
 
 
 class TestConfigParsing:
@@ -89,6 +100,21 @@ class TestConfigParsing:
         assert lv.k == lv.j == default_series_length(0.5)
         lv = config_from_mapping("properties", {"w": 4, "j": 50}).window_levels(256)
         assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (math.inf, 50, 1, 4, 50)
+
+    @pytest.mark.parametrize(
+        "experiment, mapping",
+        [
+            ("esd", {"n_list": (8, 16), "replicas": 1000}),
+            ("ladder", {"n_list": (8, 16), "replicas": 1000}),
+            ("properties", {"replicas": 2000}),
+        ],
+        ids=["esd", "ladder", "properties"],
+    )
+    def test_largest_replica_count_inside_its_stream_block(self, experiment, mapping):
+        # the last replica count whose streams stay in their blocks validates;
+        # one more is rejected (tests/test_cli.py)
+        cfg = config_from_mapping(experiment, mapping)
+        assert cfg.replicas == mapping["replicas"]
 
     def test_readme_lists_every_config_key(self):
         # the README's key table names exactly the config fields, with the
@@ -168,8 +194,6 @@ class TestEsdRun:
     def test_two_by_two_flip(self):
         # the 2x2 Toeplitz with zero diagonal and unit off-diagonal has
         # spectrum {-1, +1}
-        from htt.spectra import esd
-
         m = esd(np.linalg.eigvalsh(np.array([[0.0, 1.0], [1.0, 0.0]])))
         np.testing.assert_allclose(m.locations, [-1.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(m.weights, [0.5, 0.5])
@@ -191,20 +215,98 @@ class TestEsdRun:
         assert report.provenance["peak_rss_mb"] > 0
 
 
+def _ladder_oracle(config):
+    """ladder.csv text and pooled totals of the ladder run per (n, l, r):
+    each replica drawn again at every band width, every stage solved fresh."""
+    lines = ["n,l,m,k,replica,d_clip,d_band,d_topk"]
+    totals = {}
+    for i, n in enumerate(sorted(config.n_list)):
+        for l in sorted(config.l_list):
+            levels = config.levels_for(l)
+            rows = []
+            for r in range(config.replicas):
+                entries = sample_entries(n, config.params(),
+                                         config.base_seed().with_stream(1000 * i + r))
+                band = projection_symbol(n, levels.l)
+                clipped = clip_entries(entries.b, levels.m)
+                top = topk_coefficients(entries, levels.m, levels.k)
+                stages = [
+                    esd(stage_eigvals(entries.b)),
+                    esd(stage_eigvals(clipped)),
+                    esd(stage_eigvals(clipped, band)),
+                    esd(stage_eigvals(top, band)),
+                ]
+                d = tuple(levy_distance(stages[t], stages[t + 1]) for t in range(3))
+                rows.append(d)
+                lines.append(f"{n},{l},{levels.m!r},{levels.k},{r},{d[0]!r},{d[1]!r},{d[2]!r}")
+            totals[(n, l)] = float(np.mean(rows, axis=0).sum())
+    return "\n".join(lines) + "\n", totals
+
+
+# Coupled clip levels 2**(1/9), 4**(1/9), 8**(1/9) = 1.08, 1.17, 1.26: at
+# seed 0 some replicas clip nothing at any band width, some clip at every
+# one, and size 16's replica 0 (max |b| = 1.20) clips at l = 2, 4 only.
+_LADDER_CASE = dict(experiment="ladder", n_list=(16, 33), l_list=(2, 4, 8),
+                    replicas=6, seed=0)
+
+
 class TestLadder:
     def test_no_truncation_distances_vanish(self):
         # band covering everything, no clip, full top-k: all stages identical
         e = sample_entries(16, AlphaParams(0.5), RngSeed(5))
         with pytest.warns(UserWarning):
-            d1, d2, d3 = ladder_distances(
-                e, TruncationLevels(m=math.inf, k=16, l=16, w=1, j=1)
+            [(d1, d2, d3)] = ladder_distances(
+                e, [TruncationLevels(m=math.inf, k=16, l=16, w=1, j=1)]
             )
         assert d1 <= 1e-9 and d2 <= 1e-9 and d3 <= 1e-9
 
     def test_heavy_clip_changes_spectrum(self):
         e = sample_entries(32, AlphaParams(0.5), RngSeed(6))
-        d1, _, _ = ladder_distances(e, TruncationLevels(m=1e-6, k=32, l=8, w=1, j=1))
+        [(d1, _, _)] = ladder_distances(e, [TruncationLevels(m=1e-6, k=32, l=8, w=1, j=1)])
         assert d1 > 0.01
+
+    def test_run_matches_per_level_oracle(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **_LADDER_CASE)
+        report = run_experiment(cfg)
+        text, totals = _ladder_oracle(cfg)
+        assert (tmp_path / "ladder.csv").read_text() == text
+        final = totals[(33, 8)]
+        observed = {c.name: c.observed for c in report.checks}
+        assert observed == {"ladder_final_distance": final,
+                            "ladder_trend": final - totals[(33, 2)]}
+
+    def test_each_stage_solved_once_per_replica(self, tmp_path, monkeypatch):
+        # per (n, r): one draw, one unbanded full solve, an unbanded clipped
+        # solve only at the band widths whose clip changes an entry, and two
+        # banded solves per band width
+        draws, solves = [], []
+        sample, solve = experiments.sample_entries, experiments.stage_eigvals
+
+        def counting_sample(*args):
+            draws.append(sample(*args))
+            solves.append([])
+            return draws[-1]
+
+        def counting_solve(c, band=None):
+            kind = "banded" if band is not None else "full" if c is draws[-1].b else "clipped"
+            solves[-1].append(kind)
+            return solve(c, band)
+
+        monkeypatch.setattr(experiments, "sample_entries", counting_sample)
+        monkeypatch.setattr(experiments, "stage_eigvals", counting_solve)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **_LADDER_CASE)
+        run_experiment(cfg)
+        levels = [cfg.levels_for(l) for l in cfg.l_list]
+        assert len(draws) == len(cfg.n_list) * cfg.replicas
+        clipping = []
+        for entries, kinds in zip(draws, solves):
+            clips = sum(np.abs(entries.b).max() > lv.m for lv in levels)
+            clipping.append(clips)
+            assert kinds.count("full") == 1
+            assert kinds.count("clipped") == clips
+            assert kinds.count("banded") == 2 * len(levels)
+        assert 0 in clipping and len(levels) in clipping
+        assert set(clipping) - {0, len(levels)}
 
     def test_run_report(self, tmp_path):
         cfg = ExperimentConfig(

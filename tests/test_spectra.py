@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htt import spectra
 from htt.limit_operator import operator_window, projection_unit_vector
 from htt.matrices import TruncationLevels
 from htt.metrics import levy_distance, support_bound
-from htt.sampler import AlphaParams, RngSeed, sample_environment
+from htt.sampler import AlphaParams, RngSeed, redraw_phases, sample_environment
 from htt.spectra import (
     PointMeasure,
     esd,
@@ -243,6 +244,22 @@ class TestMcLimitMeasure:
         b = mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=1, seed=RngSeed(6))
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("inner", [1, 2, 4])
+    def test_phases_redrawn_only_between_windows(self, inner, monkeypatch):
+        # inner windows need inner - 1 redraws; none after the last window
+        calls = []
+
+        def counting(env, rng):
+            calls.append(env)
+            return redraw_phases(env, rng)
+
+        monkeypatch.setattr(spectra, "redraw_phases", counting)
+        lv = TruncationLevels(m=2.0, k=4, l=2, w=8, j=16)
+        replicas = 3
+        mc_limit_measure(AlphaParams(0.5), lv, replicas=replicas, inner=inner,
+                         seed=RngSeed(7))
+        assert len(calls) == replicas * (inner - 1)
 
     def test_process_pool_matches_serial(self):
         # the ProcessPoolExecutor path gives byte-identical atoms
