@@ -4,25 +4,10 @@ diagnostics.  Every run writes CSV artifacts, and :func:`run_experiment`
 adds a JSON report whose config hash and seed reproduce bit-identical
 numerical output.
 
-Stream layout: every draw uses the base seed and a stream number from a
-block, replica r at base + r.  Per experiment, block (base, width):
-
-* ``esd``, ``ladder``: size i at (1000*i, 1000);
-* ``limit``: replicas at (1000, replicas), reference environments at
-  (500000, ref_envs);
-* ``properties``: raw estimate (10000, replicas), MGF at alpha = 0.5
-  (21000, replicas) and at alpha = 1.5 (23000, replicas), support
-  (30000, replicas), support growth (40000, max(10, replicas // 5)),
-  interlacing entries (50000, 50);
-* ``equidist``: entries (0, replicas), dilations (100000, replicas).
-
-``ExperimentConfig`` rejects the replica counts that would run one block
-into the next: more than 1000 with several sizes in ``esd`` and
-``ladder``, more than 2000 in ``properties``.  One collision remains: the
-interlacing wrap entries are drawn from stream 50000, which is also
-interlacing replica 0's entry stream.  A strict xfail in the tests pins it
-until the wraps move to a stream of their own (ROADMAP item 1).  Every
-other draw has a stream of its own, so merging is order-independent.
+Every draw uses the base seed and a stream of its own from the stream
+table ``_stream_blocks``, except the interlacing wraps: they share replica
+0's entry stream, a collision pinned by a strict xfail in the tests until
+the wraps move (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -125,9 +110,29 @@ DEFAULT_TOLERANCES = {
 
 _KS_CRITICAL_1PCT = 1.628
 
-# Streams per size block in `esd` and `ladder`: size i, replica r draws on
-# stream _SIZE_BLOCK*i + r
-_SIZE_BLOCK = 1000
+
+def _stream_blocks(config) -> dict:
+    """The stream table: the config's (base, count) stream blocks by name,
+    each as range(base, base + count); draw r of a block uses block[r]."""
+    reps = config.replicas
+    sizes = {f"size{i}": (1000 * i, reps) for i in range(len(config.n_list))}
+    table = {
+        "esd": sizes,
+        "ladder": sizes,
+        "limit": {"replicas": (1000, reps), "reference": (500_000, config.ref_envs)},
+        "properties": {
+            "raw": (10_000, reps),
+            "mgf_alpha0.5": (21_000, reps),
+            "mgf_alpha1.5": (23_000, reps),
+            "support": (30_000, reps),
+            "growth": (40_000, max(10, reps // 5)),
+            "interlacing": (50_000, 50),
+        },
+        "equidist": {"entries": (0, reps), "dilations": (100_000, reps)},
+    }
+    return {name: range(base, base + count)
+            for name, (base, count) in table[config.experiment].items()}
+
 
 # Largest per-replica CDF asymmetry counted as rounding residue (zero) in
 # the raw symmetry check
@@ -205,16 +210,11 @@ class ExperimentConfig:
             raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * self.w}")
         if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
             raise ValueError(f"top-k k = {self.k} exceeds the smallest size {min(self.n_list)}")
-        # replica streams must stay inside their blocks (module docstring)
-        if (self.experiment in ("esd", "ladder") and len(self.n_list) > 1
-                and self.replicas > _SIZE_BLOCK):
-            raise ValueError(
-                f"replicas = {self.replicas} exceeds {_SIZE_BLOCK} with several sizes: "
-                f"streams {_SIZE_BLOCK}*i + r of consecutive sizes would overlap")
-        if self.experiment == "properties" and self.replicas > 2000:
-            raise ValueError(
-                f"replicas = {self.replicas} exceeds 2000: the alpha = 0.5 MGF streams "
-                "21000 + r would reach the alpha = 1.5 block at 23000")
+        blocks = sorted(_stream_blocks(self).items(), key=lambda item: item[1].start)
+        for (name, block), (next_name, next_block) in zip(blocks, blocks[1:]):
+            if block.stop > next_block.start:
+                raise ValueError(f"the {len(block)} {name} streams from {block.start} would "
+                                 f"run into the {next_name} block at {next_block.start}")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance tol_{name}")
@@ -448,11 +448,11 @@ def run_esd(config: ExperimentConfig) -> Report:
     out = _out_dir(config)
     params = config.params()
     seed = config.base_seed()
-    for i, n in enumerate(config.n_list):
+    for n, block in zip(config.n_list, _stream_blocks(config).values()):
         measures = []
         worst_dev = 0.0
-        for r in range(config.replicas):
-            entries = sample_entries(n, params, seed.with_stream(_SIZE_BLOCK * i + r))
+        for r, stream in enumerate(block):
+            entries = sample_entries(n, params, seed.with_stream(stream))
             m = esd(toeplitz_eigvalsh(entries.b))
             measures.append(m)
             save_measure_csv(out / f"esd_n{n}_r{r}.csv", m)
@@ -516,9 +516,9 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     the pooled distance must be small at the largest (n, l) and must not
     exceed its value at the smallest l (monotone trend within slack).
 
-    Each replica of size n_i is drawn once, on stream 1000*i + r, and
-    measured at every band width by one ``ladder_distances`` call; rows are
-    written in (n, l, r) order."""
+    Each replica of size n_i is drawn once, from size block i, and measured
+    at every band width by one ``ladder_distances`` call; rows are written
+    in (n, l, r) order."""
     report = _new_report(config)
     out = _out_dir(config)
     params = config.params()
@@ -532,10 +532,10 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     totals = {}
     with open(out / "ladder.csv", "w") as fh:
         fh.write("n,l,m,k,replica,d_clip,d_band,d_topk\n")
-        for i, n in enumerate(n_list):
+        for n, block in zip(n_list, _stream_blocks(config).values()):
             per_replica = []
-            for r in range(config.replicas):
-                entries = sample_entries(n, params, seed.with_stream(_SIZE_BLOCK * i + r))
+            for stream in block:
+                entries = sample_entries(n, params, seed.with_stream(stream))
                 per_replica.append(ladder_distances(entries, levels_seq))
             for l, levels, rows in zip(l_list, levels_seq, zip(*per_replica)):
                 for r, (d1, d2, d3) in enumerate(rows):
@@ -569,12 +569,13 @@ def reference_limit_measure(config: ExperimentConfig) -> PointMeasure:
     """Pooled Monte Carlo estimate of the limiting measure used as the
     comparison target: window levels at w = 512 (no clip, full series), with
     an explicit m or k replacing its level."""
+    block = _stream_blocks(config)["reference"]
     return mc_limit_measure(
         config.params(),
         config.with_explicit_levels(config.window_levels(512)),
-        replicas=config.ref_envs,
+        replicas=len(block),
         inner=config.inner,
-        seed=config.base_seed().with_stream(500_000),
+        seed=config.base_seed().with_stream(block.start),
         workers=config.threads,
     )
 
@@ -621,8 +622,8 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
 
     n_list = sorted(config.n_list)
     per_size = {n: [] for n in n_list}
-    for r in range(config.replicas):
-        draws = _nested_entry_draws(n_list, params, seed.with_stream(1000 + r))
+    for stream in _stream_blocks(config)["replicas"]:
+        draws = _nested_entry_draws(n_list, params, seed.with_stream(stream))
         for n, entries in draws.items():
             # Dense solve: the recorded outputs of `htt limit`
             # (benchmarks/goldens/limit-w512.json) carry its rounding, and in
@@ -676,10 +677,9 @@ def interlacing_violation(entries, rng: np.random.Generator) -> float:
     between circulant eigenvalues (negative means satisfied), with an
     independent-copy wrap entry.  The circulant's eigenvalues are the FFT of
     its symbol."""
-    params = AlphaParams(entries.alpha, entries.p)
     wrap = float(
-        np.where(rng.random() < params.p, 1.0, -1.0)
-        * (1.0 - rng.random()) ** (-1.0 / params.alpha)
+        np.where(rng.random() < entries.p, 1.0, -1.0)
+        * (1.0 - rng.random()) ** (-1.0 / entries.alpha)
         / entries.c_n
     )
     g = np.sort(np.fft.fft(circulant_symbol(entries, wrap)).real)
@@ -697,6 +697,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     report = _new_report(config)
     out = _out_dir(config)
     seed = config.base_seed()
+    streams = _stream_blocks(config)
     tol = config.tol
 
     # (a) annealed symmetry: the default (antithetic) estimate satisfies the
@@ -707,9 +708,9 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     raw = mc_limit_measure(
         params,
         levels,
-        replicas=config.replicas,
+        replicas=len(streams["raw"]),
         inner=max(2, config.inner),
-        seed=seed.with_stream(10_000),
+        seed=seed.with_stream(streams["raw"].start),
         symmetrize=False,
         workers=config.threads,
     )
@@ -724,7 +725,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         tol("symmetry_cdf"),
         "the limiting measure is symmetric around 0",
     )
-    subs = [quenched_sub_measure(raw, r) for r in range(config.replicas)]
+    subs = [quenched_sub_measure(raw, r) for r in range(len(streams["raw"]))]
     worst_z = max(
         _asymmetry_zscore(
             np.array([s.cdf(-x) + s.cdf(x, side="left") - 1.0 for s in subs])
@@ -743,11 +744,10 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         a_params = AlphaParams(alpha, config.p)
         a_j = default_series_length(alpha)
         a_levels = replace(levels, k=a_j, j=a_j)
-        n_env = config.replicas
+        block = streams[f"mgf_alpha{alpha}"]
         frac_pass = {0.5: 0, 1.0: 0}
-        for r in range(n_env):
-            s = seed.with_stream(20_000 + 1000 * int(alpha * 2) + r)
-            env = sample_environment(a_j, a_params, s)
+        for stream in block:
+            env = sample_environment(a_j, a_params, seed.with_stream(stream))
             window = operator_window(env, a_levels)
             measure = window_measure_at_unit_vector(window, a_levels.core)
             sym = measure.mirrored()
@@ -758,7 +758,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         for beta in (0.5, 1.0):
             report.check(
                 f"mgf_subgaussian_alpha{alpha}_beta{beta}",
-                frac_pass[beta] / n_env,
+                frac_pass[beta] / len(block),
                 tol("mgf_pass_fraction"),
                 "quenched MGF is at most 2 exp(2 b^2 sum gamma_j^(-2/alpha))",
                 direction=">=",
@@ -772,8 +772,8 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     c_levels = TruncationLevels.coupled(c_band, w=levels.w, j=a_j)
     violations = 0
     worst_ratio = 0.0
-    for r in range(config.replicas):
-        env = sample_environment(a_j, a_params, seed.with_stream(30_000 + r))
+    for stream in streams["support"]:
+        env = sample_environment(a_j, a_params, seed.with_stream(stream))
         window = operator_window(env, c_levels)
         radius = support_bound(env, 0.5)
         top = float(np.abs(np.linalg.eigvalsh(window.matrix)).max())
@@ -793,15 +793,14 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     a_params = AlphaParams(1.5, config.p)
     k_list = (64, 512, 4096)
     g_w = min(levels.w, 128)
-    n_growth = max(10, config.replicas // 5)
     g_levels = [
         replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
         for k_terms in k_list
     ]
     # each environment is drawn once and read at every series length
     tops = [[] for _ in k_list]
-    for r in range(n_growth):
-        env = sample_environment(k_list[-1], a_params, seed.with_stream(40_000 + r))
+    for stream in streams["growth"]:
+        env = sample_environment(k_list[-1], a_params, seed.with_stream(stream))
         for lv, lv_tops in zip(g_levels, tops):
             window = operator_window(env, lv)
             lv_tops.append(np.abs(np.linalg.eigvalsh(window.matrix)).max())
@@ -819,9 +818,11 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     # interlacing with the independent wrap entry
     n_inter = min(128, max(config.n_list))
     worst = -math.inf
-    rng = seed.with_stream(50_000).generator()
-    for r in range(50):
-        entries = sample_entries(n_inter, config.params(), seed.with_stream(50_000 + r))
+    # the wraps' stream is also replica 0's entry stream: the known
+    # collision, mended with the golden re-record (ROADMAP item 1)
+    rng = seed.with_stream(streams["interlacing"].start).generator()
+    for stream in streams["interlacing"]:
+        entries = sample_entries(n_inter, config.params(), seed.with_stream(stream))
         worst = max(worst, interlacing_violation(entries, rng))
     report.check(
         "interlacing",
@@ -862,11 +863,12 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         report.note("size 1 is degenerate (two-point support); KS test skipped")
         return report
 
-    coords = np.empty((config.replicas, k))
-    for r in range(config.replicas):
-        entries = sample_entries(n, params, seed.with_stream(r))
+    streams = _stream_blocks(config)
+    coords = np.empty((len(streams["entries"]), k))
+    for r, stream in enumerate(streams["entries"]):
+        entries = sample_entries(n, params, seed.with_stream(stream))
         # dilation factor on its own stream, independent of the entries
-        theta = int(seed.with_stream(100_000 + r).generator().integers(0, 2 * n))
+        theta = int(seed.with_stream(streams["dilations"][r]).generator().integers(0, 2 * n))
         sigma = entries.top(k)
         coords[r] = (theta * sigma % (2 * n)) / (2 * n)
 

@@ -3,8 +3,8 @@
 Entries follow a pure Pareto tail: P(|a| >= t) = t**(-alpha) for t >= 1,
 with sign +1 with probability p.  The normalizer c_n = n**(1/alpha) is then
 exact.  The environment consists of Poisson arrival magnitudes (cumulative
-unit-exponential sums), frequencies uniform on [0, 1/2], phases uniform on
-[0, 1), and signs.
+unit-exponential sums), frequencies uniform on [0, 1/2] and phases uniform
+on [0, 1).
 
 Phases and frequencies are drawn on a dyadic grid (multiples of 2**-32 and
 2**-33 respectively) so that phase shifts ``u + l*zeta`` evaluate exactly in
@@ -38,6 +38,10 @@ _PHASE_BITS = 32
 # Largest ranks whose relative positions coupled_entry_draws shares across
 # sizes; the rest are placed independently per size.
 COUPLED_TOP_RANKS = 64
+
+# Tail tolerance and largest length of default_series_length
+_SERIES_REL_TOL = 1e-4
+_SERIES_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,18 +114,15 @@ class Environment:
     gamma : strictly increasing Poisson arrival times (cumulative Exp(1) sums)
     zeta  : frequencies, uniform on [0, 1/2]
     u     : phases, uniform on [0, 1)
-    eps   : signs, +1 with probability p
     """
 
     gamma: np.ndarray
     zeta: np.ndarray
     u: np.ndarray
-    eps: np.ndarray
     alpha: float
-    p: float
 
     def __post_init__(self):
-        for f in (self.gamma, self.zeta, self.u, self.eps):
+        for f in (self.gamma, self.zeta, self.u):
             _freeze(f)
 
     def __len__(self) -> int:
@@ -260,8 +261,10 @@ def _environment_from(rng: np.random.Generator, j: int, params: AlphaParams) -> 
     gamma = np.cumsum(rng.standard_exponential(j))
     zeta = _dyadic_uniform(rng, j, _PHASE_BITS + 1)  # [0, 1/2)
     u = _dyadic_uniform(rng, j, _PHASE_BITS)  # [0, 1)
-    eps = np.where(rng.random(j) < params.p, 1, -1).astype(np.int64)
-    return Environment(gamma=gamma, zeta=zeta, u=u, eps=eps, alpha=params.alpha, p=params.p)
+    # j sign uniforms that nothing reads, drawn to keep redraw_phases on its
+    # recorded stream positions; the draw goes with ROADMAP item 1's re-record
+    rng.random(j)
+    return Environment(gamma=gamma, zeta=zeta, u=u, alpha=params.alpha)
 
 
 def redraw_phases(env: Environment, rng: np.random.Generator) -> Environment:
@@ -270,14 +273,14 @@ def redraw_phases(env: Environment, rng: np.random.Generator) -> Environment:
     return replace(env, u=u)
 
 
-def default_series_length(alpha: float, rel_tol: float = 1e-4, cap: int = 100_000) -> int:
+def default_series_length(alpha: float) -> int:
     """Series length J making the dropped tail negligible.
 
     For alpha < 1 the tail 2*sum_{j>=J} j**(-1/alpha) (arrival times grow like
-    j) is required to fall below rel_tol times the retained partial sum; the
-    result is capped at `cap` since the bound degenerates as alpha -> 1.  For
-    alpha >= 1 the series is only conditionally convergent, so a fixed length
-    of 10_000 is used and callers should report it.
+    j) is required to fall below _SERIES_REL_TOL times the retained partial
+    sum; the result is capped at _SERIES_CAP since the bound degenerates as
+    alpha -> 1.  For alpha >= 1 the series is only conditionally convergent,
+    so a fixed length of 10_000 is used and callers should report it.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
@@ -285,10 +288,10 @@ def default_series_length(alpha: float, rel_tol: float = 1e-4, cap: int = 100_00
         return 10_000
     q = 1.0 / alpha
     j = 64
-    while j < cap:
+    while j < _SERIES_CAP:
         partial = 1.0 + np.sum(np.arange(1, j, dtype=float) ** (-q))
         tail = j ** (1.0 - q) / (q - 1.0)
-        if tail < rel_tol * partial:
+        if tail < _SERIES_REL_TOL * partial:
             return j
         j *= 2
-    return cap
+    return _SERIES_CAP

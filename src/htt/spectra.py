@@ -96,12 +96,6 @@ class PointMeasure:
         idx = np.searchsorted(self.locations, x, side=side)
         return np.where(idx > 0, self._cumulative[np.maximum(idx, 1) - 1], 0.0)
 
-    def mean(self) -> float:
-        return float(self.weights @ self.locations)
-
-    def moment(self, r: int) -> float:
-        return float(self.weights @ self.locations**r)
-
     def mirrored(self) -> "PointMeasure":
         """The measure averaged with its mirror image x -> -x (replica ids
         are dropped, so coinciding atoms merge)."""

@@ -13,6 +13,7 @@ import numpy as np
 from htt.experiments import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
+    _stream_blocks,
     corner_embedding_deviation,
     reference_limit_measure,
     run_equidistribution,
@@ -224,8 +225,8 @@ def test_criterion_09_limit_convergence():
     )
     ref = reference_limit_measure(cfg)
     per_size = {n: [] for n in n_list}
-    for r in range(replicas):
-        draws = coupled_entry_draws(n_list, cfg.params(), RngSeed(SEED, 1000 + r))
+    for stream in _stream_blocks(cfg)["replicas"]:
+        draws = coupled_entry_draws(n_list, cfg.params(), RngSeed(SEED, stream))
         for n, entries in draws.items():
             per_size[n].append(esd(toeplitz_eigvalsh(entries.b)))
     pooled = {

@@ -59,13 +59,16 @@ def test_config_error_exit_code(tmp_path):
         ("esd", "n_list = 8, 16\nreplicas = 1001\n"),
         ("ladder", "n_list = 8, 16\nreplicas = 1001\n"),
         ("properties", "replicas = 2001\n"),
+        ("equidist", "replicas = 100001\n"),
+        ("limit", "n_list = 8, 16, 32\nreplicas = 499001\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
          "top-k-beyond-size", "coupled-key", "boolean", "experiment-key",
          "tolerances-key", "tolerance-name", "tolerance-value",
          "esd-size-streams-overlap", "ladder-size-streams-overlap",
-         "properties-mgf-streams-overlap"],
+         "properties-mgf-streams-overlap", "equidist-dilation-streams-overlap",
+         "limit-reference-streams-overlap"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

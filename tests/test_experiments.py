@@ -13,6 +13,7 @@ from htt.experiments import (
     _ROUNDING_FLOOR,
     _asymmetry_zscore,
     _config_hash,
+    _stream_blocks,
     config_from_mapping,
     corner_embedding_deviation,
     interlacing_violation,
@@ -107,8 +108,10 @@ class TestConfigParsing:
             ("esd", {"n_list": (8, 16), "replicas": 1000}),
             ("ladder", {"n_list": (8, 16), "replicas": 1000}),
             ("properties", {"replicas": 2000}),
+            ("equidist", {"replicas": 100_000}),
+            ("limit", {"n_list": (8, 16, 32), "replicas": 499_000}),
         ],
-        ids=["esd", "ladder", "properties"],
+        ids=["esd", "ladder", "properties", "equidist", "limit"],
     )
     def test_largest_replica_count_inside_its_stream_block(self, experiment, mapping):
         # the last replica count whose streams stay in their blocks validates;
@@ -220,13 +223,12 @@ def _ladder_oracle(config):
     each replica drawn again at every band width, every stage solved fresh."""
     lines = ["n,l,m,k,replica,d_clip,d_band,d_topk"]
     totals = {}
-    for i, n in enumerate(sorted(config.n_list)):
+    for n, block in zip(sorted(config.n_list), _stream_blocks(config).values()):
         for l in sorted(config.l_list):
             levels = config.levels_for(l)
             rows = []
-            for r in range(config.replicas):
-                entries = sample_entries(n, config.params(),
-                                         config.base_seed().with_stream(1000 * i + r))
+            for r, stream in enumerate(block):
+                entries = sample_entries(n, config.params(), config.base_seed().with_stream(stream))
                 band = projection_symbol(n, levels.l)
                 clipped = clip_entries(entries.b, levels.m)
                 top = topk_coefficients(entries, levels.m, levels.k)
@@ -466,6 +468,43 @@ class TestEquidistRun:
         report = run_experiment(cfg)
         assert report.passed
         assert (tmp_path / "equidist_coords.csv").exists()
+
+
+# One small run per experiment, for the stream-table test
+_TOY_RUNS = {
+    "esd": dict(n_list=(8, 16), replicas=3),
+    "ladder": dict(n_list=(8, 16), l_list=(2, 4), replicas=5),
+    "limit": dict(n_list=(8, 16, 32), w=8, replicas=2, ref_envs=2, inner=2),
+    "properties": dict(alpha=0.9, w=8, l=2, n_list=(16,), replicas=2),
+    "equidist": dict(n_list=(64,), replicas=20, top_coords=2),
+}
+
+
+@pytest.mark.parametrize("experiment", [
+    "esd", "ladder", "limit",
+    pytest.param("properties", marks=pytest.mark.xfail(strict=True, reason=(
+        "the interlacing wraps come from the interlacing block's base stream, "
+        "which also draws replica 0's entries"))),
+    "equidist",
+])
+def test_every_draw_has_a_stream_of_its_own(tmp_path, monkeypatch, experiment):
+    # record the (seed, stream) of every generator a run makes: each lies in
+    # one of the experiment's stream blocks, and none repeats
+    seen = []
+    generator = RngSeed.generator
+
+    def recording(self):
+        seen.append((self.seed, self.stream))
+        return generator(self)
+
+    monkeypatch.setattr(RngSeed, "generator", recording)
+    cfg = ExperimentConfig(experiment=experiment, seed=3, out_dir=str(tmp_path),
+                           **_TOY_RUNS[experiment])
+    run_experiment(cfg)
+    blocks = _stream_blocks(cfg).values()
+    assert seen and {seed for seed, _ in seen} == {3}
+    assert all(any(s in b for b in blocks) for _, s in seen)
+    assert len(set(seen)) == len(seen)
 
 
 class TestDispatch:

@@ -45,17 +45,12 @@ def _complex_block(rows, cols, band):
     )
 
 
-def _env(gamma, zeta, u, alpha=0.5, p=0.5, eps=None):
-    gamma = np.asarray(gamma, dtype=float)
-    if eps is None:
-        eps = np.ones(len(gamma), dtype=np.int64)
+def _env(gamma, zeta, u, alpha=0.5):
     return Environment(
-        gamma=gamma,
+        gamma=np.asarray(gamma, dtype=float),
         zeta=np.asarray(zeta, dtype=float),
         u=np.asarray(u, dtype=float),
-        eps=np.asarray(eps, dtype=np.int64),
         alpha=alpha,
-        p=p,
     )
 
 
@@ -319,7 +314,6 @@ class TestShift:
         shifted = shift_environment(env, 3)
         np.testing.assert_array_equal(env.gamma, shifted.gamma)
         np.testing.assert_array_equal(env.zeta, shifted.zeta)
-        np.testing.assert_array_equal(env.eps, shifted.eps)
 
 
 class TestOperatorWindow:

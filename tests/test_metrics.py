@@ -191,9 +191,7 @@ def _env_from_gamma(gamma, alpha=0.5):
         gamma=gamma,
         zeta=np.zeros(n),
         u=np.zeros(n),
-        eps=np.ones(n, dtype=np.int64),
         alpha=alpha,
-        p=0.5,
     )
 
 

@@ -262,7 +262,6 @@ class TestEnvironment:
         np.testing.assert_allclose(np.cumsum(incr), env.gamma, rtol=1e-12)
         assert np.all(env.zeta >= 0) and np.all(env.zeta <= 0.5)
         assert np.all(env.u >= 0) and np.all(env.u < 1.0)
-        assert set(np.unique(env.eps)) <= {-1, 1}
 
     def test_gamma_law_of_large_numbers(self):
         j = 100_000
@@ -272,7 +271,7 @@ class TestEnvironment:
     def test_reproducible(self):
         a = sample_environment(50, AlphaParams(1.5, 0.6), RngSeed(4, 2))
         b = sample_environment(50, AlphaParams(1.5, 0.6), RngSeed(4, 2))
-        for f in ("gamma", "zeta", "u", "eps"):
+        for f in ("gamma", "zeta", "u"):
             np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
 
     def test_redraw_phases_keeps_environment(self):
