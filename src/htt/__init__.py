@@ -2,8 +2,7 @@
 operator, and Monte Carlo verification of its spectral properties.
 
 The package re-exports each ``__all__`` of the core modules; experiments,
-serialization and plots stay in their own modules, so ``import htt`` loads
-no scipy.
+serialization and plots stay in their own modules.
 """
 
 from .sampler import *

@@ -2,7 +2,8 @@
 Carlo limit estimation, spectral-property suites, and equidistribution
 diagnostics.  Every run writes CSV artifacts, and :func:`run_experiment`
 adds a JSON report whose config hash and seed reproduce bit-identical
-numerical output.
+numerical output at the same BLAS thread count, which the report's
+``blas_env`` records.
 
 Every draw uses the base seed and a stream of its own from the stream
 table ``_stream_blocks``, except the interlacing wraps: they share replica
@@ -17,8 +18,8 @@ import json
 import math
 import numbers
 import operator
+import os
 import resource
-import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -109,6 +110,10 @@ DEFAULT_TOLERANCES = {
 }
 
 _KS_CRITICAL_1PCT = 1.628
+
+# Environment variables that fix the BLAS thread count; recorded in every
+# report's provenance
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _stream_blocks(config) -> dict:
@@ -202,10 +207,13 @@ class ExperimentConfig:
         if self.m is not None and not (isinstance(self.m, numbers.Real)
                                        and not isinstance(self.m, bool) and self.m > 0):
             raise ValueError(f"m must be positive, got {self.m!r}")
-        for key in ("k", "l", "w", "j"):
+        for key in ("k", "l", "w", "j", "bins"):
             value = getattr(self, key)
             if value is not None and not _positive_int(value):
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.l is not None and self.w is not None and self.l > 2 * self.w:
             raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * self.w}")
         if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
@@ -220,6 +228,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown tolerance tol_{name}")
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"tol_{name} must be a number, got {value!r}")
+            if name == "equidist_level" and not 0 < value < 1:
+                raise ValueError(f"tol_equidist_level must lie in (0, 1), got {value!r}")
 
     def params(self) -> AlphaParams:
         return AlphaParams(self.alpha, self.p)
@@ -838,6 +848,82 @@ def run_property_suite(config: ExperimentConfig) -> Report:
 # equidistribution
 
 
+def _ks_statistic(x: np.ndarray) -> float:
+    """Two-sided KS statistic of a sample against U[0, 1): the larger of
+    max(i/n - x_(i)) and max(x_(i) - (i-1)/n) over the sorted sample, with
+    the arithmetic of ``scipy.stats.kstest``."""
+    x = np.sort(x)
+    n = x.shape[0]
+    above = (np.arange(1.0, n + 1) / n - x).max()
+    below = (x - np.arange(0.0, n) / n).max()
+    return float(max(above, below))
+
+
+def _kolmogorov_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for the two-sided KS statistic of n uniforms.
+
+    Marsaglia, Tsang & Wang, "Evaluating Kolmogorov's distribution", J. Stat.
+    Softw. 8(18), 2003: with k = floor(nd) + 1, h = k - nd, it is
+    n!/n**n times entry (k, k) of H**n, H the (2k-1)-square matrix of
+    1/(i-j+1)! corrected in its first column and last row.  The power is
+    taken by squaring with each product rescaled and its log scale kept, so
+    nothing overflows.  Where their closed form
+    2 exp(-(2.000071 + 0.331/sqrt(n) + 1.409/n) nd^2) of the tail is accurate
+    (nd^2 > 7.24, or nd^2 > 3.76 with n > 99) it is used instead.
+    """
+    s = n * d * d
+    if s > 7.24 or (s > 3.76 and n > 99):
+        return 1.0 - 2.0 * math.exp(-(2.000071 + 0.331 / math.sqrt(n) + 1.409 / n) * s)
+    if n * d <= 0.5:  # D_n >= 1/(2n) always
+        return 0.0
+    k = int(n * d) + 1
+    m = 2 * k - 1
+    h = k - n * d
+    powers = h ** np.arange(1, m + 1)
+    a = np.tri(m, m, 1)  # ones where i - j + 1 >= 0
+    a[:, 0] -= powers
+    a[-1] -= powers[::-1]
+    if 2 * h - 1 > 0:
+        a[-1, 0] += (2 * h - 1) ** m
+    inv_factorials = np.concatenate([[1.0], np.cumprod(1.0 / np.arange(1, m + 1))])
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1
+    a *= inv_factorials[np.clip(lag, 0, m)]
+
+    def rescaled(x):
+        top = np.abs(x).max()
+        return x / top, math.log(top)
+
+    power, log_power = np.eye(m), 0.0
+    base, log_base = a, 0.0
+    e = n
+    while True:
+        if e & 1:
+            power, log_top = rescaled(power @ base)
+            log_power += log_base + log_top
+        e >>= 1
+        if not e:
+            break
+        base, log_top = rescaled(base @ base)
+        log_base = 2.0 * log_base + log_top
+    log_scale = log_power + math.lgamma(n + 1) - n * math.log(n)
+    return float(power[k - 1, k - 1] * math.exp(log_scale))
+
+
+def _kolmogorov_critical(level: float) -> float:
+    """x with P(sqrt(n) D_n > x) = level in the large-n limit, by bisection
+    on Kolmogorov's survival function 2 sum_k (-1)**(k-1) exp(-2 k^2 x^2)."""
+    k = np.arange(1, 101)
+    lo, hi = 0.0, 10.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k * k * mid * mid)) > level:
+            lo = mid
+        else:
+            hi = mid
+
+
 def run_equidistribution(config: ExperimentConfig) -> Report:
     """Distribution of the top-magnitude frequencies under a uniform dilation:
     the rescaled products should look jointly uniform.  Reports per-coordinate
@@ -872,24 +958,20 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         sigma = entries.top(k)
         coords[r] = (theta * sigma % (2 * n)) / (2 * n)
 
-    # scipy.stats costs about a second to import; equidist is its only user
-    import scipy.stats
-
     level = config.tol("equidist_level")
     crit = _KS_CRITICAL_1PCT / math.sqrt(config.replicas)
     if level != 0.01:
-        crit = scipy.stats.kstwobign.ppf(1 - level) / math.sqrt(config.replicas)
-    stats = []
+        crit = _kolmogorov_critical(level) / math.sqrt(config.replicas)
     for jcoord in range(k):
-        res = scipy.stats.kstest(coords[:, jcoord], "uniform")
-        stats.append((res.statistic, res.pvalue))
+        statistic = _ks_statistic(coords[:, jcoord])
         report.check(
             f"ks_uniform_coord{jcoord}",
-            res.statistic,
+            statistic,
             crit,
             "rescaled top-frequency dilations converge to i.i.d. uniforms",
         )
-        report.note(f"coordinate {jcoord}: KS p-value {res.pvalue:.4f}")
+        pvalue = min(max(1.0 - _kolmogorov_cdf(config.replicas, statistic), 0.0), 1.0)
+        report.note(f"coordinate {jcoord}: KS p-value {pvalue:.4f}")
 
     # pairwise independence diagnostic: indicator-bin correlations
     bins = 8
@@ -932,8 +1014,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     report = EXPERIMENTS[config.experiment](config)
     report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)
     report.provenance["numpy_version"] = np.__version__
-    if "scipy" in sys.modules:  # only runs that used scipy load it
-        report.provenance["scipy_version"] = sys.modules["scipy"].__version__
+    # outputs depend on the BLAS thread count, which these variables set
+    report.provenance["blas_env"] = {name: os.environ.get(name) for name in _BLAS_ENV}
     # ru_maxrss is in KiB on Linux
     report.provenance["peak_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)

@@ -58,7 +58,6 @@ __all__ = [
     "CosineSeries",
     "OperatorWindow",
     "projection_entry",
-    "projection_window",
     "projection_unit_vector",
     "series_coefficients",
     "series_value",
@@ -101,17 +100,6 @@ def _projection_block(rows: np.ndarray, cols: np.ndarray, band: int | None) -> n
     if band is not None:
         kernel[offsets > band] = 0.0
     return kernel[d - lo]
-
-
-def projection_window(w: int, band: int | None = None) -> np.ndarray:
-    """(2w+1)-dimensional window of the gauge kernel (real symmetric),
-    indexed by k in {-w, ..., w}; optional straight band truncation."""
-    if w < 1:
-        raise ValueError(f"half-width must be >= 1, got {w}")
-    if band is not None and band > 2 * w:
-        raise ValueError(f"band {band} exceeds the window span {2 * w}")
-    ks = np.arange(-w, w + 1)
-    return _projection_block(ks, ks, band)
 
 
 def projection_unit_vector(w: int) -> np.ndarray:

@@ -7,10 +7,11 @@ diagonal spectra are 1-d float arrays of length 2N.  Conventions:
 * The symmetric circulant embedding of an N-entry sequence is 2N x 2N with
   symbol (b_0, ..., b_{N-1}, w, b_{N-1}, ..., b_1); the wrap entry w defaults
   to 0 and never affects the principal N x N block.
-* ``circulant_eigs`` returns d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N);
-  ``cosine_spectrum`` doubles the j = 0 term as well, shifting every
-  eigenvalue by b_0.  An FFT is used internally; the cosine formula is the
-  contract.
+* ``circulant_eigs`` returns d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N).
+  A ladder stage's diagonal is the cosine spectrum of its coefficients c,
+  d_k = 2*sum_{j=0}^{N-1} c_j cos(pi j k / N), k in [2N]: the j = 0 term
+  doubled as well, which shifts every eigenvalue by c_0.  An FFT is used
+  internally; the cosine formula is the contract.
 * The projection matrix P = F* Q F (F the 2N-point unitary DFT, Q the
   indicator of the first N coordinates) has closed-form entries depending
   only on k - l: 1/2 on the diagonal, 0 at even nonzero differences, and
@@ -18,12 +19,12 @@ diagonal spectra are 1-d float arrays of length 2N.  Conventions:
 
 P and its circular band truncations P_l are circulant, so the DFT
 diagonalizes them: ``projection_symbol`` gives their eigenvalues q_l.  A
-ladder stage P_l diag(d) P_l with d = ``cosine_spectrum(c)`` is therefore
+ladder stage P_l diag(d) P_l with d the cosine spectrum of c is therefore
 unitarily similar to diag(q_l) C diag(q_l), C the real symmetric circulant
 with eigenvalues d, and without truncation its spectrum is that of the N x N
 Toeplitz corner of C plus N zeros.  ``stage_eigvals`` uses these real forms;
-``projection_matrix``, ``band_truncate``, ``dft_matrix`` and ``sandwich``
-build the dense complex objects they replace and serve as oracles.
+``projection_matrix`` and ``sandwich`` build the dense complex objects they
+replace, for the corner-identity check of ``htt esd``.
 
 Every symmetric Toeplitz matrix is centrosymmetric (JTJ = T, J the
 reversal), and every banded stage commutes with the reflection
@@ -52,11 +53,8 @@ __all__ = [
     "build_circulant",
     "circulant_symbol",
     "circulant_eigs",
-    "cosine_spectrum",
-    "dft_matrix",
     "projection_matrix",
     "projection_symbol",
-    "band_truncate",
     "clip_entries",
     "topk_coefficients",
     "stage_eigvals",
@@ -223,24 +221,9 @@ def circulant_eigs(entries: EntrySequence) -> np.ndarray:
 
 def _cosine_symbol(c: np.ndarray) -> np.ndarray:
     """Symbol (2 c_0, c_1, ..., c_{N-1}, 0, c_{N-1}, ..., c_1) of the real
-    symmetric circulant whose eigenvalues are ``cosine_spectrum(c)``."""
+    symmetric circulant whose eigenvalues are the cosine spectrum
+    2*sum_j c_j cos(pi j k / N) of c."""
     return np.concatenate([[2.0 * c[0]], c[1:], [0.0], c[:0:-1]])
-
-
-def cosine_spectrum(b: np.ndarray) -> np.ndarray:
-    """d_k = 2*sum_{j=0}^{N-1} b_j cos(pi j k / N) for k in [2N].
-
-    Doubles the j = 0 term relative to ``circulant_eigs``, i.e. adds b_0 to
-    every eigenvalue.  Accepts any real coefficient vector (e.g. clipped
-    entries).
-    """
-    return _symbol_fft(_cosine_symbol(np.asarray(b, dtype=float)))
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F(k, l) = exp(2*pi*i*k*l/n) / sqrt(n)."""
-    k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
 
 
 def _projection_column(n: int) -> np.ndarray:
@@ -267,12 +250,14 @@ def projection_matrix(n: int) -> np.ndarray:
 
 
 def projection_symbol(n: int, l: int) -> np.ndarray:
-    """Eigenvalues of ``band_truncate(projection_matrix(n), l)`` in DFT order.
+    """Eigenvalues of P_l, the circular band truncation of
+    ``projection_matrix(n)`` to the offsets d <= l and d >= 2N - l, in DFT
+    order.
 
     The truncation is circulant, so its eigenvalues are the FFT of its first
     column: P's column with the circular offsets l < d < 2N - l zeroed.
-    They are real because the column is Hermitian.  Like ``band_truncate``,
-    a band l >= n keeps the whole column, with a warning.
+    They are real because the column is Hermitian.  A band l >= n keeps the
+    whole column, with a warning.
     """
     if l < 0:
         raise ValueError(f"band width must be >= 0, got {l}")
@@ -282,26 +267,6 @@ def projection_symbol(n: int, l: int) -> np.ndarray:
     else:
         col[l + 1 : 2 * n - l] = 0.0
     return np.fft.fft(col).real
-
-
-def band_truncate(p: np.ndarray, l: int) -> np.ndarray:
-    """Circular band truncation: keep entries with |k-l| <= l or >= 2N - l.
-
-    The wrap branch mirrors the circulant geometry of the underlying index
-    set [2N].  If l covers the whole band the input is returned unchanged
-    (copy) with a warning.
-    """
-    dim = p.shape[0]
-    n = dim // 2
-    if l < 0:
-        raise ValueError(f"band width must be >= 0, got {l}")
-    if l >= n:
-        warnings.warn(f"band width {l} >= {n} covers the whole matrix", stacklevel=2)
-        return p.copy()
-    idx = np.arange(dim)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    keep = (dist <= l) | (dist >= dim - l)
-    return np.where(keep, p, 0.0)
 
 
 def clip_entries(b: np.ndarray, m: float) -> np.ndarray:
@@ -315,7 +280,7 @@ def clip_entries(b: np.ndarray, m: float) -> np.ndarray:
 def topk_coefficients(entries: EntrySequence, m: float, k: int) -> np.ndarray:
     """Coefficients of the top-k stage: the clipped entries at the k
     largest-magnitude positions sigma(0..k-1), zero elsewhere, so that
-    ``cosine_spectrum`` of them is
+    their cosine spectrum is
 
         d_t = 2 * sum_{j<k} clip(b_(j), m) * cos(pi * t * sigma(j) / N).
     """
@@ -329,8 +294,8 @@ def topk_coefficients(entries: EntrySequence, m: float, k: int) -> np.ndarray:
 
 
 def stage_eigvals(c: np.ndarray, band: np.ndarray | None = None) -> np.ndarray:
-    """Spectrum of P_l diag(cosine_spectrum(c)) P_l, 2N values, for a real
-    coefficient vector c of length N.
+    """Spectrum of P_l diag(d) P_l, 2N values, d the cosine spectrum of a
+    real coefficient vector c of length N.
 
     ``band`` is the projection symbol q_l (``projection_symbol(N, l)``), or
     None for the untruncated P.  Untruncated, the spectrum is that of the

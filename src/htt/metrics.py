@@ -17,7 +17,6 @@ from .spectra import PointMeasure
 
 __all__ = [
     "levy_distance",
-    "ks_distance",
     "mgf",
     "log_mgf",
     "subgaussian_bound",
@@ -59,15 +58,6 @@ def levy_distance(m1: PointMeasure, m2: PointMeasure) -> float:
     return min(max(0.0, d), 1.0)
 
 
-def ks_distance(m1: PointMeasure, m2: PointMeasure) -> float:
-    """Kolmogorov-Smirnov distance sup_t |F1(t) - F2(t)|, evaluating both
-    one-sided limits at every breakpoint.  Always >= the Levy distance."""
-    pts = np.union1d(m1.locations, m2.locations)
-    right = np.abs(m1.cdf(pts) - m2.cdf(pts)).max()
-    left = np.abs(m1.cdf(pts, side="left") - m2.cdf(pts, side="left")).max()
-    return float(max(right, left))
-
-
 def log_mgf(m: PointMeasure, beta: float) -> float:
     """log sum_i w_i exp(beta x_i), computed in log-sum-exp form."""
     t = beta * m.locations
@@ -91,27 +81,23 @@ def series_tail_estimate(j: int, exponent: float) -> float:
     return _TAIL_SAFETY * j ** (1.0 - exponent) / (exponent - 1.0)
 
 
-def subgaussian_bound(
-    env: Environment, beta: float, alpha: float, with_tail: bool = True
-) -> float:
+def subgaussian_bound(env: Environment, beta: float, alpha: float) -> float:
     """Quenched MGF bound 2 exp(2 beta^2 sum_j gamma_j**(-2/alpha)).
 
-    The sampled prefix underestimates the full series, so by default the
-    analytic tail estimate for the unsampled j >= J is added; pass
-    ``with_tail=False`` to evaluate the bare partial sum (used when the
-    environment is a complete, hand-built sequence).
+    The sampled prefix underestimates the full series, so the analytic tail
+    estimate for the unsampled j >= J is added.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
     s = float(np.sum(env.gamma ** (-2.0 / alpha)))
-    if with_tail:
-        s += series_tail_estimate(len(env), 2.0 / alpha)
+    s += series_tail_estimate(len(env), 2.0 / alpha)
     exponent = 2.0 * beta * beta * s
     return 2.0 * math.exp(exponent) if exponent < 709.0 else math.inf
 
 
-def support_bound(env: Environment, alpha: float, with_tail: bool = True) -> float:
-    """Support radius 2 sum_j gamma_j**(-1/alpha) of the limiting measure.
+def support_bound(env: Environment, alpha: float) -> float:
+    """Support radius 2 sum_j gamma_j**(-1/alpha) of the limiting measure,
+    the unsampled tail j >= J added by its analytic estimate.
 
     Finite only for alpha < 1; for alpha >= 1 the series diverges (the
     limiting measure has unbounded support) and +inf is returned.
@@ -121,6 +107,5 @@ def support_bound(env: Environment, alpha: float, with_tail: bool = True) -> flo
     if alpha >= 1.0:
         return math.inf
     s = 2.0 * float(np.sum(env.gamma ** (-1.0 / alpha)))
-    if with_tail:
-        s += 2.0 * series_tail_estimate(len(env), 1.0 / alpha)
+    s += 2.0 * series_tail_estimate(len(env), 1.0 / alpha)
     return s

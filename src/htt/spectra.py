@@ -1,5 +1,5 @@
-"""Empirical spectral distributions, spectral measures at a vector,
-Stieltjes transforms, and Monte Carlo estimation of the limiting measure.
+"""Empirical spectral distributions, spectral measures at a vector, Monte
+Carlo estimation of the limiting measure, and the resolvent identity.
 
 A :class:`PointMeasure` is a finite probability measure of weighted atoms
 standing for an ESD, a spectral measure or a pool of them; all distances
@@ -25,7 +25,6 @@ __all__ = [
     "PointMeasure",
     "esd",
     "spectral_measure_at",
-    "stieltjes",
     "window_measure_at_unit_vector",
     "mc_limit_measure",
     "quenched_sub_measure",
@@ -136,15 +135,6 @@ def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     weights = np.abs(v.conj() @ vectors) ** 2
     keep = weights > 0.0
     return PointMeasure.from_atoms(values[keep], weights[keep] / weights[keep].sum())
-
-
-def stieltjes(m: PointMeasure, z: complex) -> complex:
-    """sum_i w_i / (x_i - z) for non-real z.  Maps the upper half-plane to
-    itself (Herglotz)."""
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("z must have nonzero imaginary part")
-    return complex(np.sum(m.weights / (m.locations - z)))
 
 
 def window_measure_at_unit_vector(window: OperatorWindow, core_radius: int) -> PointMeasure:

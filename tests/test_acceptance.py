@@ -24,11 +24,10 @@ from htt.matrices import (
     build_circulant,
     build_toeplitz,
     circulant_eigs,
-    dft_matrix,
     projection_matrix,
     toeplitz_eigvalsh,
 )
-from htt.metrics import ks_distance, levy_distance, mgf, subgaussian_bound, support_bound
+from htt.metrics import levy_distance, mgf, subgaussian_bound, support_bound
 from htt.sampler import (
     AlphaParams,
     RngSeed,
@@ -43,6 +42,7 @@ from htt.spectra import (
     resolvent_identity_residual,
     window_measure_at_unit_vector,
 )
+from oracles import dft_matrix, ks_distance
 
 SEED = 20240901
 

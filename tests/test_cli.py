@@ -8,6 +8,7 @@ import pytest
 
 import htt
 from htt.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
+from test_experiments import _TOY_RUNS
 
 
 def test_esd_subcommand(tmp_path, capsys):
@@ -61,6 +62,15 @@ def test_config_error_exit_code(tmp_path):
         ("properties", "replicas = 2001\n"),
         ("equidist", "replicas = 100001\n"),
         ("limit", "n_list = 8, 16, 32\nreplicas = 499001\n"),
+        ("esd", "n_list = 8\nbins = 0\n"),
+        ("esd", "n_list = 8\nbins = -2\n"),
+        ("esd", "n_list = 8\nbins = 2.5\n"),
+        ("esd", "n_list = 8\nbins = abc\n"),
+        ("esd", "n_list = 8\nseed = -5\n"),
+        ("esd", "n_list = 8\nseed = 1.5\n"),
+        ("esd", "n_list = 8\nseed = abc\n"),
+        ("equidist", "n_list = 64\ntol_equidist_level = 0\n"),
+        ("equidist", "n_list = 64\ntol_equidist_level = 1.5\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
@@ -68,13 +78,21 @@ def test_config_error_exit_code(tmp_path):
          "tolerances-key", "tolerance-name", "tolerance-value",
          "esd-size-streams-overlap", "ladder-size-streams-overlap",
          "properties-mgf-streams-overlap", "equidist-dilation-streams-overlap",
-         "limit-reference-streams-overlap"],
+         "limit-reference-streams-overlap", "bins-zero", "bins-negative",
+         "bins-fraction", "bins-text", "seed-negative", "seed-fraction", "seed-text",
+         "equidist-level-zero", "equidist-level-above-one"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_before_work(tmp_path):
+    out = tmp_path / "out"
+    assert main(["esd", "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
 
 
@@ -130,16 +148,6 @@ def _python(code: str, *args: str) -> str:
                           text=True, check=True).stdout
 
 
-def test_import_skips_scipy_submodules():
-    # every htt call pays its imports; only equidist needs scipy.stats
-    out = _python(
-        "import sys, htt, htt.cli; "
-        "print(' '.join(m for m in ('scipy.linalg', 'scipy.stats', "
-        "'scipy.special', 'scipy.sparse') if m in sys.modules))"
-    )
-    assert out.split() == []
-
-
 def test_import_builds_no_phase_table():
     # the cosine series' phase tables are built on first use, not at import
     out = _python(
@@ -149,20 +157,19 @@ def test_import_builds_no_phase_table():
     assert out.strip() == "0"
 
 
-@pytest.mark.parametrize("experiment, keys, loads_scipy", [
-    ("esd", "n_list = 8\nreplicas = 2\n", False),
-    ("equidist", "n_list = 64\nreplicas = 20\ntop_coords = 2\n", True),
-])
-def test_report_records_scipy_version_only_when_loaded(tmp_path, experiment, keys,
-                                                       loads_scipy):
-    # a run that never uses scipy leaves it unloaded, and its report says so
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(keys)
+def test_runs_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a toy run of every experiment
+    # leaves scipy unloaded, and no report records a scipy version
     out = _python(
-        "import sys; from htt.cli import main; "
-        "code = main(sys.argv[1:]); print('scipy' in sys.modules); sys.exit(code)",
-        experiment, "--config", str(cfg), "--out", str(tmp_path / "out"),
+        "import ast, sys, htt.cli; "
+        "from htt.experiments import ExperimentConfig, run_experiment; "
+        "runs = ast.literal_eval(sys.argv[1]); "
+        "[run_experiment(ExperimentConfig(experiment=e, seed=3, out_dir=f'{sys.argv[2]}/{e}', "
+        "**keys)) for e, keys in runs.items()]; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        repr(_TOY_RUNS), str(tmp_path),
     )
-    assert out.split()[-1] == str(loads_scipy)
-    report = json.loads((tmp_path / "out" / f"report_{experiment}.json").read_text())
-    assert ("scipy_version" in report["provenance"]) == loads_scipy
+    assert out.strip() == "[]"
+    for experiment in _TOY_RUNS:
+        report = json.loads((tmp_path / experiment / f"report_{experiment}.json").read_text())
+        assert "scipy_version" not in report["provenance"]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from htt import experiments
 from htt.experiments import (
@@ -13,6 +14,9 @@ from htt.experiments import (
     _ROUNDING_FLOOR,
     _asymmetry_zscore,
     _config_hash,
+    _kolmogorov_cdf,
+    _kolmogorov_critical,
+    _ks_statistic,
     _stream_blocks,
     config_from_mapping,
     corner_embedding_deviation,
@@ -146,6 +150,16 @@ class TestReport:
         assert prov["seed"] == 3
         assert len(prov["config_hash"]) == 16
         assert "tolerances" in prov
+
+    def test_report_records_blas_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        cfg = ExperimentConfig(experiment="esd", n_list=(8,), replicas=1, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        report = json.loads((tmp_path / "report_esd.json").read_text())
+        assert report["provenance"]["blas_env"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
 
     def test_hash_ignores_tolerance_order(self):
         a = ExperimentConfig("esd", tolerances={"esd_identity": 1, "weyl_sum": 2})
@@ -439,6 +453,47 @@ class TestInterlacing:
             t = np.linalg.eigvalsh(build_toeplitz(entries))
             want = max(np.max(g[:n] - t), np.max(t - g[n:]))
             assert abs(got - want) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
+
+
+def _skewed_samples(n, rng):
+    # samples of U**t, whose KS statistics against U[0, 1) spread over (0, 1)
+    u = rng.random(n)
+    return [u ** t for t in np.geomspace(0.02, 50.0, 25)]
+
+
+class TestKolmogorovSmirnov:
+    # scipy.stats is the oracle of the numpy KS statistic, p-value and
+    # critical value of the equidist runner
+    REPLICAS = (1, 2, 5, 20, 140, 141, 1000, 5000)
+
+    @pytest.mark.parametrize("n", REPLICAS)
+    def test_statistic_equals_scipy(self, n):
+        rng = np.random.default_rng(n)
+        for x in [rng.random(n)] + _skewed_samples(n, rng):
+            assert _ks_statistic(x) == scipy.stats.kstest(x, "uniform").statistic
+
+    @pytest.mark.parametrize("n", REPLICAS)
+    def test_pvalue_matches_scipy(self, n):
+        # kstest's p-value is kstwo.sf at the statistic, clipped to [0, 1]:
+        # compared on samples, on a grid over (0, 1) and on a finer grid
+        # where sqrt(n) D is of order 1
+        def pvalue(d):
+            return min(max(1.0 - _kolmogorov_cdf(n, d), 0.0), 1.0)
+
+        rng = np.random.default_rng(n)
+        for x in [rng.random(n)] + _skewed_samples(n, rng):
+            res = scipy.stats.kstest(x, "uniform")
+            assert abs(pvalue(_ks_statistic(x)) - res.pvalue) <= 5e-6, (n, res.statistic)
+        grid = np.concatenate([np.linspace(0.0, 1.0, 201)[1:],
+                               np.linspace(0.2, 3.0, 57) / math.sqrt(n)])
+        for d in grid[grid <= 1.0]:
+            want = min(max(scipy.stats.kstwo.sf(d, n), 0.0), 1.0)
+            assert abs(pvalue(d) - want) <= 5e-6, (n, d)
+
+    @pytest.mark.parametrize("level", [0.2, 0.05, 0.01, 0.001])
+    def test_critical_value_matches_scipy(self, level):
+        want = scipy.stats.kstwobign.ppf(1 - level)
+        assert abs(_kolmogorov_critical(level) - want) <= 1e-12
 
 
 class TestEquidistRun:

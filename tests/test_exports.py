@@ -5,8 +5,8 @@ import pytest
 
 import htt
 
-# Modules whose __all__ the package re-exports, and those it leaves out so
-# that `import htt` loads no scipy
+# Modules whose __all__ the package re-exports, and those that keep their
+# own namespace (runners, file formats and plots)
 REEXPORTED = ("sampler", "matrices", "limit_operator", "spectra", "metrics")
 OWN_NAMESPACE = ("serialize", "experiments", "plots")
 

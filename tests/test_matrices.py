@@ -13,13 +13,10 @@ from htt.matrices import (
     _hankel,
     _projection_column,
     _toeplitz,
-    band_truncate,
     build_circulant,
     build_toeplitz,
     circulant_eigs,
     clip_entries,
-    cosine_spectrum,
-    dft_matrix,
     projection_matrix,
     projection_symbol,
     sandwich,
@@ -28,6 +25,7 @@ from htt.matrices import (
     topk_coefficients,
 )
 from htt.sampler import AlphaParams, RngSeed, sample_entries
+from oracles import band_truncate, cosine_spectrum, dft_matrix
 
 
 def _entries(n, seed=0, alpha=0.8, p=0.5):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htt.metrics import (
-    ks_distance,
     levy_distance,
     log_mgf,
     mgf,
@@ -16,6 +15,7 @@ from htt.metrics import (
 )
 from htt.sampler import AlphaParams, Environment, RngSeed, sample_environment
 from htt.spectra import PointMeasure, esd
+from oracles import ks_distance
 
 
 def _delta(x):
@@ -201,11 +201,12 @@ class TestSubgaussianBound:
         assert subgaussian_bound(env, 0.0, 0.5) == 2.0
 
     def test_single_term(self):
+        # the partial sum 1 plus the tail estimate of the unsampled j >= 1
         env = _env_from_gamma([1.0])
         for beta in (0.5, 1.0):
-            expect = 2.0 * math.exp(2.0 * beta * beta)
-            assert subgaussian_bound(env, beta, 0.5, with_tail=False) == expect
-            assert subgaussian_bound(env, beta, 0.5) > expect
+            s = 1.0 + series_tail_estimate(1, 4.0)
+            assert subgaussian_bound(env, beta, 0.5) == 2.0 * math.exp(2.0 * beta * beta * s)
+            assert subgaussian_bound(env, beta, 0.5) > 2.0 * math.exp(2.0 * beta * beta)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -215,12 +216,13 @@ class TestSubgaussianBound:
 class TestSupportBound:
     def test_single_term(self):
         env = _env_from_gamma([1.0])
-        assert support_bound(env, 0.5, with_tail=False) == 2.0
+        assert support_bound(env, 0.5) == 2.0 + 2.0 * series_tail_estimate(1, 2.0)
 
     def test_geometric_series(self):
-        # gamma = (1, 2, 4, ...): 2 * sum 4^-j = 8/3
+        # gamma = (1, 2, 4, ...): 2 * sum 4^-j = 8/3, plus the tail estimate
         env = _env_from_gamma(2.0 ** np.arange(30))
-        assert abs(support_bound(env, 0.5, with_tail=False) - 8.0 / 3.0) < 1e-12
+        expect = 8.0 / 3.0 + 2.0 * series_tail_estimate(30, 2.0)
+        assert abs(support_bound(env, 0.5) - expect) < 1e-12
 
     def test_divergence_at_alpha_one(self):
         env = _env_from_gamma([1.0, 2.0])
@@ -229,7 +231,7 @@ class TestSupportBound:
 
     def test_tail_estimate_positive(self):
         env = _env_from_gamma([1.0, 2.0, 3.0])
-        assert support_bound(env, 0.5) > support_bound(env, 0.5, with_tail=False)
+        assert support_bound(env, 0.5) > 2.0 * np.sum(env.gamma ** -2.0)
         assert series_tail_estimate(3, 2.0) > 0
         assert series_tail_estimate(3, 1.0) == math.inf
 

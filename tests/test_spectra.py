@@ -17,7 +17,6 @@ from htt.spectra import (
     quenched_sub_measure,
     resolvent_identity_residual,
     spectral_measure_at,
-    stieltjes,
     window_measure_at_unit_vector,
 )
 
@@ -157,31 +156,6 @@ class TestVectorMoment:
         win = window_from_diagonal(np.ones(2 * (w + 1024) + 1), w, 1024)
         e0 = win.basis_vector(0)
         assert abs(e0 @ win.matrix @ e0 - 0.5) < 1e-3
-
-
-class TestStieltjes:
-    def test_point_mass_at_zero(self):
-        assert stieltjes(esd([0.0]), 1j) == 1j
-
-    def test_symmetric_pair(self):
-        m = PointMeasure.from_atoms([-1.0, 1.0], [0.5, 0.5])
-        assert abs(stieltjes(m, 1j) - 0.5j) < 1e-15
-
-    def test_herglotz(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            n = rng.integers(1, 8)
-            w = rng.random(n) + 0.01
-            m = PointMeasure.from_atoms(
-                rng.standard_normal(n) * 3, w / w.sum()
-            )
-            z = complex(rng.standard_normal(), rng.random() + 0.01)
-            assert stieltjes(m, z).imag > 0
-            assert stieltjes(m, z.conjugate()).imag < 0
-
-    def test_rejects_real_z(self):
-        with pytest.raises(ValueError):
-            stieltjes(esd([1.0]), 0.5)
 
 
 class TestMcLimitMeasure:
