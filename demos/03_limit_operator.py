@@ -47,7 +47,7 @@ print("shift identity (exact):",
 levels = TruncationLevels.coupled(64, w=256, j=j)
 window = operator_window(env, levels)
 measure = window_measure_at_unit_vector(window, levels.core)
-radius = support_bound(env, params.alpha)
+radius = support_bound(env)
 print(f"window dim {window.dim}, top |eigenvalue| "
       f"{np.abs(measure.locations).max():.4f} vs support radius {radius:.4f}")
 

@@ -51,8 +51,8 @@ for r in range(10):
     window = operator_window(env, levels)
     m = window_measure_at_unit_vector(window, levels.core)
     sym = m.mirrored()
-    ok = all(mgf(sym, b) <= subgaussian_bound(env, b, 0.5) for b in (0.5, 1.0))
-    inside = np.abs(m.locations).max() <= support_bound(env, 0.5)
+    ok = all(mgf(sym, b) <= subgaussian_bound(env, b) for b in (0.5, 1.0))
+    inside = np.abs(m.locations).max() <= support_bound(env)
     hits += ok and inside
 print(f"MGF bound and support radius satisfied in {hits}/10 environments (alpha = 0.5)")
 

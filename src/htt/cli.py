@@ -1,8 +1,9 @@
 """Command line entry point.
 
-    htt <subcommand> [--config PATH] [--seed S] [--out DIR] [--threads T]
+    htt <experiment> [--config PATH] [--seed S] [--out DIR] [--threads T]
+    htt plot FILE... [--out SVG] [--separate] [--title TEXT]
 
-Subcommands: esd, ladder, limit, properties, equidist, plot.  The config
+Experiments: esd, ladder, limit, properties, equidist.  The config
 file is flat ``key = value`` text (see README); command line flags override
 it.  Exit status: 0 when every hard check passes, 1 on check failures, 2 on
 configuration errors.
@@ -35,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None, help="worker processes")
     p = sub.add_parser("plot", help="render histogram CSVs to SVG")
     p.add_argument("files", nargs="*", help="histogram CSV files")
-    p.add_argument("--config", default=None, help="config file listing files = ...")
     p.add_argument("--out", default=None, help="output SVG path (overlay mode)")
     p.add_argument("--separate", action="store_true", help="one SVG per input")
     p.add_argument("--title", default="", help="plot title")
@@ -64,23 +64,11 @@ def main(argv=None) -> int:
 
 
 def _run_plot(args) -> int:
-    files = list(args.files)
-    if args.config:
-        try:
-            from .experiments import parse_config_text
-            from pathlib import Path
-
-            mapping = parse_config_text(Path(args.config).read_text())
-            listed = mapping.get("files", ())
-            files += list(listed) if isinstance(listed, tuple) else [listed]
-        except (ValueError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-    if not files:
+    if not args.files:
         print("config error: no histogram CSVs given", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        written = emit_plots(files, out_path=args.out,
+        written = emit_plots(args.files, out_path=args.out,
                              overlay=not args.separate, title=args.title)
     except (ValueError, OSError) as exc:
         print(f"plot error: {exc}", file=sys.stderr)

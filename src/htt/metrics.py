@@ -81,31 +81,31 @@ def series_tail_estimate(j: int, exponent: float) -> float:
     return _TAIL_SAFETY * j ** (1.0 - exponent) / (exponent - 1.0)
 
 
-def subgaussian_bound(env: Environment, beta: float, alpha: float) -> float:
+def subgaussian_bound(env: Environment, beta: float) -> float:
     """Quenched MGF bound 2 exp(2 beta^2 sum_j gamma_j**(-2/alpha)).
 
-    The sampled prefix underestimates the full series, so the analytic tail
-    estimate for the unsampled j >= J is added.
+    alpha is the environment's.  The sampled prefix underestimates the full
+    series, so the analytic tail estimate for the unsampled j >= J is added.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    s = float(np.sum(env.gamma ** (-2.0 / alpha)))
-    s += series_tail_estimate(len(env), 2.0 / alpha)
+    if not 0.0 < env.alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {env.alpha}")
+    s = float(np.sum(env.gamma ** (-2.0 / env.alpha)))
+    s += series_tail_estimate(len(env), 2.0 / env.alpha)
     exponent = 2.0 * beta * beta * s
     return 2.0 * math.exp(exponent) if exponent < 709.0 else math.inf
 
 
-def support_bound(env: Environment, alpha: float) -> float:
+def support_bound(env: Environment) -> float:
     """Support radius 2 sum_j gamma_j**(-1/alpha) of the limiting measure,
     the unsampled tail j >= J added by its analytic estimate.
 
-    Finite only for alpha < 1; for alpha >= 1 the series diverges (the
-    limiting measure has unbounded support) and +inf is returned.
+    Finite only for the environment's alpha < 1; for alpha >= 1 the series
+    diverges (the limiting measure has unbounded support) and +inf is returned.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if alpha >= 1.0:
+    if not 0.0 < env.alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {env.alpha}")
+    if env.alpha >= 1.0:
         return math.inf
-    s = 2.0 * float(np.sum(env.gamma ** (-1.0 / alpha)))
-    s += 2.0 * series_tail_estimate(len(env), 1.0 / alpha)
+    s = 2.0 * float(np.sum(env.gamma ** (-1.0 / env.alpha)))
+    s += 2.0 * series_tail_estimate(len(env), 1.0 / env.alpha)
     return s

@@ -178,7 +178,7 @@ def _limit_measure_replica(
 def mc_limit_measure(
     params: AlphaParams,
     levels: TruncationLevels,
-    replicas: int,
+    streams: range,
     inner: int,
     seed: RngSeed,
     symmetrize: bool = True,
@@ -187,19 +187,20 @@ def mc_limit_measure(
     """Monte Carlo estimate of the limiting measure: the expected spectral
     measure of the truncated operator window at the projected basis vector.
 
-    Each replica draws a fresh environment on its own stream; `inner` phase
-    redraws average over the conditional (phase) randomness within each
+    Replica r draws a fresh environment on stream ``streams[r]`` of the base
+    ``seed`` (a block of the caller's stream table); `inner` phase redraws
+    average over the conditional (phase) randomness within each
     environment.  All (replica, redraw) pairs are pooled with equal weight.
     With ``symmetrize`` (default) each draw also contributes its mirror
     image at half weight -- the limit law is symmetric, so this halves the
     estimator variance without bias.  Atoms keep their replica id, so
     per-environment (quenched) sub-measures remain recoverable.
     """
-    if replicas < 1 or inner < 1:
-        raise ValueError("replicas and inner must be >= 1")
+    if not streams or inner < 1:
+        raise ValueError("streams must be nonempty and inner >= 1")
     tasks = [
-        (params, levels, inner, seed.with_stream(seed.stream + r), symmetrize)
-        for r in range(replicas)
+        (params, levels, inner, seed.with_stream(stream), symmetrize)
+        for stream in streams
     ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

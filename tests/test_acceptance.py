@@ -61,7 +61,7 @@ def test_criterion_01_esd_identity():
     for i, n in enumerate((4, 16, 64)):
         for r in range(20):
             entries = sample_entries(n, AlphaParams(0.5, 0.5), RngSeed(SEED, 100 * i + r))
-            worst = max(worst, corner_embedding_deviation(entries))
+            worst = max(worst, corner_embedding_deviation(entries)[0])
     dt = time.perf_counter() - t0
     _verdict(1, "esd-identity", worst <= 1e-8 and dt < 10.0,
              f"max deviation {worst:.2e} <= 1e-08; {dt:.1f}s < 10s")
@@ -171,7 +171,7 @@ def test_criterion_07_support_bound():
         env = sample_environment(j, params, RngSeed(SEED, 1000 + r))
         window = operator_window(env, levels)
         top = float(np.abs(np.linalg.eigvalsh(window.matrix)).max())
-        ratio = top / support_bound(env, 0.5)
+        ratio = top / support_bound(env)
         worst = max(worst, ratio)
         violations += ratio > 1.0
     _verdict(7, "support-bound", violations == 0,
@@ -197,7 +197,7 @@ def test_criterion_08_subgaussian_mgf():
                 np.concatenate([m.weights, m.weights]) / 2.0,
             )
             for beta in (0.5, 1.0):
-                if mgf(sym, beta) <= 1.10 * subgaussian_bound(env, beta, alpha):
+                if mgf(sym, beta) <= 1.10 * subgaussian_bound(env, beta):
                     passed[beta] += 1
         for beta in (0.5, 1.0):
             fractions[(alpha, beta)] = passed[beta] / 100.0

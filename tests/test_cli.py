@@ -30,6 +30,20 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_CHECK_FAILURE
 
 
+def test_small_alpha_corner_identity_passes(tmp_path):
+    # at alpha = 0.02 the circulant spectrum reaches far above 1, and the
+    # solves' O(eps S) rounding exceeds the tolerance taken absolutely; the
+    # check holds relative to S
+    cfg = tmp_path / "esd.cfg"
+    cfg.write_text("alpha = 0.02\nn_list = 64\nreplicas = 3\n")
+    out = tmp_path / "out"
+    assert main(["esd", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report_esd.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "corner_identity_n64")
+    assert check["observed"] > report["provenance"]["tolerances"]["esd_identity"]
+    assert check["observed"] <= 1e-8 * check["threshold"]  # at most 1e-14 S
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("unknown_key = 3\n")
@@ -71,6 +85,10 @@ def test_config_error_exit_code(tmp_path):
         ("esd", "n_list = 8\nseed = abc\n"),
         ("equidist", "n_list = 64\ntol_equidist_level = 0\n"),
         ("equidist", "n_list = 64\ntol_equidist_level = 1.5\n"),
+        ("esd", "n_list = 8, 8\n"),
+        ("limit", "n_list = 8, 8, 16\nw = 8\nreplicas = 2\nref_envs = 2\n"),
+        ("ladder", "n_list = 8\nl_list = 2, 2\n"),
+        ("equidist", "n_list = 2\nreplicas = 5\ntop_coords = 8\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
@@ -80,7 +98,8 @@ def test_config_error_exit_code(tmp_path):
          "properties-mgf-streams-overlap", "equidist-dilation-streams-overlap",
          "limit-reference-streams-overlap", "bins-zero", "bins-negative",
          "bins-fraction", "bins-text", "seed-negative", "seed-fraction", "seed-text",
-         "equidist-level-zero", "equidist-level-above-one"],
+         "equidist-level-zero", "equidist-level-above-one", "esd-repeated-size",
+         "limit-repeated-size", "ladder-repeated-band", "equidist-top-coords-beyond-size"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

@@ -33,10 +33,12 @@ from htt.matrices import (
     TruncationLevels,
     build_circulant,
     build_toeplitz,
+    circulant_eigs,
     circulant_symbol,
     clip_entries,
     projection_symbol,
     stage_eigvals,
+    toeplitz_eigvalsh,
     topk_coefficients,
 )
 from htt.metrics import levy_distance
@@ -217,7 +219,7 @@ class TestEsdRun:
 
     def test_identity_deviation_small(self):
         e = sample_entries(16, AlphaParams(0.5), RngSeed(123))
-        assert corner_embedding_deviation(e) < 1e-8
+        assert corner_embedding_deviation(e)[0] < 1e-8
 
     def test_run_writes_files(self, tmp_path):
         cfg = ExperimentConfig(
@@ -444,7 +446,7 @@ class TestInterlacing:
     def test_matches_dense_spectra(self):
         for n in (32, 33):
             entries = sample_entries(n, AlphaParams(0.7, 0.4), RngSeed(21))
-            got = interlacing_violation(entries, np.random.default_rng(5))
+            got, scale = interlacing_violation(entries, np.random.default_rng(5))
             # the same wrap entry, then dense Toeplitz and 2N circulant solves
             rng = np.random.default_rng(5)
             sign = 1.0 if rng.random() < entries.p else -1.0
@@ -453,6 +455,45 @@ class TestInterlacing:
             t = np.linalg.eigvalsh(build_toeplitz(entries))
             want = max(np.max(g[:n] - t), np.max(t - g[n:]))
             assert abs(got - want) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
+            assert abs(scale - np.abs(g).max()) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
+
+
+class TestIdentityScale:
+    """The corner and interlacing checks hold to tol * max(1, S), S the
+    largest |eigenvalue| of the circulants they compare against."""
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.1])
+    def test_small_alpha_interlacing_passes(self, tmp_path, alpha):
+        # seed 14 draws a violation above the tolerance taken absolutely
+        cfg = ExperimentConfig(
+            experiment="properties", alpha=alpha, w=8, l=2, n_list=(128,),
+            replicas=2, seed=14, out_dir=str(tmp_path),
+        )
+        check = next(c for c in run_property_suite(cfg).checks if c.name == "interlacing")
+        assert check.observed > cfg.tol("interlacing")
+        assert check.passed and check.observed <= 1e-5 * check.threshold  # 1e-14 S
+
+    def test_moved_circulant_spectrum_fails_corner_identity(self, tmp_path, monkeypatch):
+        # P D P with D moved by 1e-3 S no longer matches [[T, 0], [0, 0]]
+        def moved(entries):
+            d = circulant_eigs(entries)
+            return d + 1e-3 * np.abs(d).max()
+
+        monkeypatch.setattr("htt.experiments.circulant_eigs", moved)
+        cfg = ExperimentConfig(experiment="esd", alpha=0.02, n_list=(64,),
+                               replicas=3, out_dir=str(tmp_path))
+        check = next(c for c in run_esd(cfg).checks if c.name == "corner_identity_n64")
+        assert not check.passed
+
+    def test_other_replicas_toeplitz_fails_interlacing(self, monkeypatch):
+        # the Toeplitz spectrum of another draw does not interlace this
+        # draw's circulant spectrum
+        params = AlphaParams(0.1)
+        entries, other = (sample_entries(128, params, RngSeed(14, s)) for s in (0, 1))
+        monkeypatch.setattr("htt.experiments.toeplitz_eigvalsh",
+                            lambda b: toeplitz_eigvalsh(other.b))
+        violation, scale = interlacing_violation(entries, np.random.default_rng(5))
+        assert violation > DEFAULT_TOLERANCES["interlacing"] * max(1.0, scale)
 
 
 def _skewed_samples(n, rng):
@@ -499,7 +540,8 @@ class TestKolmogorovSmirnov:
 class TestEquidistRun:
     def test_degenerate_size_skips(self, tmp_path):
         cfg = ExperimentConfig(
-            experiment="equidist", n_list=(1,), replicas=10, out_dir=str(tmp_path)
+            experiment="equidist", n_list=(1,), replicas=10, top_coords=1,
+            out_dir=str(tmp_path)
         )
         report = run_equidistribution(cfg)
         assert any("degenerate" in note for note in report.notes)

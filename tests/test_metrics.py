@@ -198,40 +198,39 @@ def _env_from_gamma(gamma, alpha=0.5):
 class TestSubgaussianBound:
     def test_beta_zero(self):
         env = _env_from_gamma([1.0, 2.0])
-        assert subgaussian_bound(env, 0.0, 0.5) == 2.0
+        assert subgaussian_bound(env, 0.0) == 2.0
 
     def test_single_term(self):
         # the partial sum 1 plus the tail estimate of the unsampled j >= 1
         env = _env_from_gamma([1.0])
         for beta in (0.5, 1.0):
             s = 1.0 + series_tail_estimate(1, 4.0)
-            assert subgaussian_bound(env, beta, 0.5) == 2.0 * math.exp(2.0 * beta * beta * s)
-            assert subgaussian_bound(env, beta, 0.5) > 2.0 * math.exp(2.0 * beta * beta)
+            assert subgaussian_bound(env, beta) == 2.0 * math.exp(2.0 * beta * beta * s)
+            assert subgaussian_bound(env, beta) > 2.0 * math.exp(2.0 * beta * beta)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            subgaussian_bound(_env_from_gamma([1.0]), 1.0, 2.5)
+            subgaussian_bound(_env_from_gamma([1.0], alpha=2.5), 1.0)
 
 
 class TestSupportBound:
     def test_single_term(self):
         env = _env_from_gamma([1.0])
-        assert support_bound(env, 0.5) == 2.0 + 2.0 * series_tail_estimate(1, 2.0)
+        assert support_bound(env) == 2.0 + 2.0 * series_tail_estimate(1, 2.0)
 
     def test_geometric_series(self):
         # gamma = (1, 2, 4, ...): 2 * sum 4^-j = 8/3, plus the tail estimate
         env = _env_from_gamma(2.0 ** np.arange(30))
         expect = 8.0 / 3.0 + 2.0 * series_tail_estimate(30, 2.0)
-        assert abs(support_bound(env, 0.5) - expect) < 1e-12
+        assert abs(support_bound(env) - expect) < 1e-12
 
     def test_divergence_at_alpha_one(self):
-        env = _env_from_gamma([1.0, 2.0])
-        assert support_bound(env, 1.0) == math.inf
-        assert support_bound(env, 1.5) == math.inf
+        for alpha in (1.0, 1.5):
+            assert support_bound(_env_from_gamma([1.0, 2.0], alpha)) == math.inf
 
     def test_tail_estimate_positive(self):
         env = _env_from_gamma([1.0, 2.0, 3.0])
-        assert support_bound(env, 0.5) > 2.0 * np.sum(env.gamma ** -2.0)
+        assert support_bound(env) > 2.0 * np.sum(env.gamma ** -2.0)
         assert series_tail_estimate(3, 2.0) > 0
         assert series_tail_estimate(3, 1.0) == math.inf
 
@@ -272,4 +271,4 @@ class TestQuenchedBoundsOnSamples:
                 np.concatenate([m.weights, m.weights]) / 2.0,
             )
             for beta in (0.5, 1.0):
-                assert mgf(sym, beta) <= 1.1 * subgaussian_bound(env, beta, 0.5)
+                assert mgf(sym, beta) <= 1.1 * subgaussian_bound(env, beta)

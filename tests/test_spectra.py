@@ -161,19 +161,19 @@ class TestVectorMoment:
 class TestMcLimitMeasure:
     def test_total_mass(self):
         lv = TruncationLevels(m=2.0, k=4, l=4, w=16, j=32)
-        m = mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=2, seed=RngSeed(1))
+        m = mc_limit_measure(AlphaParams(0.5), lv, streams=range(3), inner=2, seed=RngSeed(1))
         assert abs(m.weights.sum() - 1.0) <= 1e-12
 
     def test_tiny_clip_concentrates_at_zero(self):
         # clip ~ 0 forces every series coefficient to ~0: mass piles at 0
         lv = TruncationLevels(m=1e-9, k=4, l=4, w=16, j=32)
-        m = mc_limit_measure(AlphaParams(0.5), lv, replicas=2, inner=1, seed=RngSeed(2))
+        m = mc_limit_measure(AlphaParams(0.5), lv, streams=range(2), inner=1, seed=RngSeed(2))
         inside = m.weights[np.abs(m.locations) <= 1e-6].sum()
         assert inside >= 0.99
 
     def test_symmetrized_estimate_is_exactly_symmetric(self):
         lv = TruncationLevels(m=2.0, k=4, l=4, w=16, j=32)
-        m = mc_limit_measure(AlphaParams(0.5), lv, replicas=2, inner=1, seed=RngSeed(3))
+        m = mc_limit_measure(AlphaParams(0.5), lv, streams=range(2), inner=1, seed=RngSeed(3))
         r = m.reflected()
         np.testing.assert_array_equal(m.locations, r.locations)
         np.testing.assert_allclose(m.weights, r.weights, atol=1e-15)
@@ -185,7 +185,7 @@ class TestMcLimitMeasure:
         lv = TruncationLevels(m=math.inf, k=64, l=8, w=64, j=64)
         reps = 40
         m = mc_limit_measure(
-            AlphaParams(0.5), lv, replicas=reps, inner=4, seed=RngSeed(4),
+            AlphaParams(0.5), lv, streams=range(reps), inner=4, seed=RngSeed(4),
             symmetrize=False,
         )
         assert len(m) >= 10_000
@@ -206,16 +206,16 @@ class TestMcLimitMeasure:
         params = AlphaParams(0.5)
         lv = TruncationLevels.coupled(8, w=32, j=256)
         seed = RngSeed(5)
-        m = mc_limit_measure(params, lv, replicas=5, inner=1, seed=seed)
+        m = mc_limit_measure(params, lv, streams=range(5), inner=1, seed=seed)
         for r in range(5):
             env = sample_environment(lv.j, params, seed.with_stream(r))
             sub = quenched_sub_measure(m, r)
-            assert np.abs(sub.locations).max() <= support_bound(env, 0.5)
+            assert np.abs(sub.locations).max() <= support_bound(env)
 
     def test_reproducible_and_worker_invariant(self):
         lv = TruncationLevels(m=2.0, k=4, l=4, w=8, j=16)
-        a = mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=1, seed=RngSeed(6))
-        b = mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=1, seed=RngSeed(6))
+        a = mc_limit_measure(AlphaParams(0.5), lv, streams=range(3), inner=1, seed=RngSeed(6))
+        b = mc_limit_measure(AlphaParams(0.5), lv, streams=range(3), inner=1, seed=RngSeed(6))
         np.testing.assert_array_equal(a.locations, b.locations)
         np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -231,7 +231,7 @@ class TestMcLimitMeasure:
         monkeypatch.setattr(spectra, "redraw_phases", counting)
         lv = TruncationLevels(m=2.0, k=4, l=2, w=8, j=16)
         replicas = 3
-        mc_limit_measure(AlphaParams(0.5), lv, replicas=replicas, inner=inner,
+        mc_limit_measure(AlphaParams(0.5), lv, streams=range(replicas), inner=inner,
                          seed=RngSeed(7))
         assert len(calls) == replicas * (inner - 1)
 
@@ -239,7 +239,7 @@ class TestMcLimitMeasure:
         # the ProcessPoolExecutor path gives byte-identical atoms
         lv = TruncationLevels(m=math.inf, k=256, l=4, w=32, j=256)
         runs = [
-            mc_limit_measure(AlphaParams(0.5), lv, replicas=3, inner=2,
+            mc_limit_measure(AlphaParams(0.5), lv, streams=range(3), inner=2,
                              seed=RngSeed(9), workers=workers)
             for workers in (1, 2)
         ]
