@@ -16,7 +16,7 @@ Stages are computed in the circulant basis, with no dense 2N x 2N sandwich.
 
 import numpy as np
 
-from htt import AlphaParams, RngSeed, TruncationLevels, sample_entries
+from htt import AlphaParams, RngSeed, TruncationLevels, projection_symbol, sample_entries
 from htt.experiments import ladder_distances
 
 params = AlphaParams(alpha=0.5, p=0.5)
@@ -25,11 +25,13 @@ replicas = 8
 
 bands = (8, 64)
 levels_seq = [TruncationLevels.coupled(band, j=1) for band in bands]
+# each band symbol depends on (n, l) alone: built once, read by every replica
+rungs = [(levels, projection_symbol(n, levels.l)) for levels in levels_seq]
 stages = np.zeros((len(bands), 3))
 for r in range(replicas):
     # one draw per replica, measured at every band width
     entries = sample_entries(n, params, RngSeed(7, r))
-    stages += np.array(ladder_distances(entries, levels_seq)) / replicas
+    stages += np.array(ladder_distances(entries, rungs)) / replicas
 
 for band, levels, (d1, d2, d3) in zip(bands, levels_seq, stages):
     print(

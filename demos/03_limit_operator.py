@@ -16,7 +16,6 @@ from htt import (
     CosineSeries,
     RngSeed,
     TruncationLevels,
-    operator_window,
     projection_entry,
     sample_environment,
     series_value,
@@ -24,7 +23,7 @@ from htt import (
 )
 from htt.metrics import support_bound
 from htt.sampler import default_series_length
-from htt.spectra import resolvent_identity_residual, window_measure_at_unit_vector
+from htt.spectra import resolvent_identity_residual, window_measure
 
 params = AlphaParams(alpha=0.5, p=0.5)
 j = default_series_length(params.alpha)
@@ -45,10 +44,9 @@ print("shift identity (exact):",
 
 # a window of the truncated operator and its spectral measure
 levels = TruncationLevels.coupled(64, w=256, j=j)
-window = operator_window(env, levels)
-measure = window_measure_at_unit_vector(window, levels.core)
+measure = window_measure(env, levels)
 radius = support_bound(env)
-print(f"window dim {window.dim}, top |eigenvalue| "
+print(f"window dim {2 * levels.w + 1}, top |eigenvalue| "
       f"{np.abs(measure.locations).max():.4f} vs support radius {radius:.4f}")
 
 res = resolvent_identity_residual(env, TruncationLevels(m=1.0, k=4, l=1, w=256, j=j), 1j)

@@ -28,7 +28,7 @@ from htt import (
 )
 from htt.metrics import mgf, subgaussian_bound, support_bound
 from htt.sampler import default_series_length
-from htt.spectra import window_measure_at_unit_vector
+from htt.spectra import window_measure
 
 # interlacing with an independent wrap entry
 params = AlphaParams(alpha=0.5, p=0.5)
@@ -48,8 +48,7 @@ levels = TruncationLevels(m=math.inf, k=j, l=32, w=256, j=j)
 hits = 0
 for r in range(10):
     env = sample_environment(j, params, RngSeed(22, r))
-    window = operator_window(env, levels)
-    m = window_measure_at_unit_vector(window, levels.core)
+    m = window_measure(env, levels)
     sym = m.mirrored()
     ok = all(mgf(sym, b) <= subgaussian_bound(env, b) for b in (0.5, 1.0))
     inside = np.abs(m.locations).max() <= support_bound(env)

@@ -33,10 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None, help="base RNG seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker processes")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes for the Monte Carlo limit measures "
+                            "of limit and properties; the other experiments run serially")
     p = sub.add_parser("plot", help="render histogram CSVs to SVG")
     p.add_argument("files", nargs="*", help="histogram CSV files")
-    p.add_argument("--out", default=None, help="output SVG path (overlay mode)")
+    p.add_argument("--out", default=None,
+                   help="output SVG path (overlay mode; not with --separate)")
     p.add_argument("--separate", action="store_true", help="one SVG per input")
     p.add_argument("--title", default="", help="plot title")
     return parser

@@ -46,6 +46,7 @@ from .metrics import levy_distance, mgf, subgaussian_bound, support_bound
 from .sampler import (
     AlphaParams,
     RngSeed,
+    _scaled_entries,
     default_series_length,
     entries_from_uniforms,
     sample_entries,
@@ -61,7 +62,7 @@ from .spectra import (
     esd,
     mc_limit_measure,
     quenched_sub_measure,
-    window_measure_at_unit_vector,
+    window_measure,
 )
 
 __all__ = [
@@ -140,6 +141,11 @@ def _stream_blocks(config) -> dict:
             for name, (base, count) in table[config.experiment].items()}
 
 
+# Window half-width of the experiments that open operator windows, where
+# the config sets no w; ``window_levels`` and config validation read it
+_DEFAULT_HALF_WIDTH = {"limit": 512, "properties": 256}
+
+
 # Largest per-replica CDF asymmetry counted as rounding residue (zero) in
 # the raw symmetry check
 _ROUNDING_FLOOR = 64 * np.finfo(float).eps
@@ -216,8 +222,9 @@ class ExperimentConfig:
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.l is not None and self.w is not None and self.l > 2 * self.w:
-            raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * self.w}")
+        w = self._half_width()
+        if self.l is not None and w is not None and self.l > 2 * w:
+            raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * w}")
         if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
             raise ValueError(f"top-k k = {self.k} exceeds the smallest size {min(self.n_list)}")
         if self.experiment == "equidist" and self.top_coords > max(self.n_list):
@@ -250,10 +257,15 @@ class ExperimentConfig:
         coupled = TruncationLevels.coupled(l, w=self.w, j=self.series_length())
         return self.with_explicit_levels(coupled)
 
-    def window_levels(self, default_w: int) -> TruncationLevels:
-        """Operator-window levels: half-width w (default_w unless set), band
+    def _half_width(self) -> int | None:
+        """The configured w, else the experiment's default half-width (None
+        for an experiment that opens no window)."""
+        return self.w if self.w is not None else _DEFAULT_HALF_WIDTH.get(self.experiment)
+
+    def window_levels(self) -> TruncationLevels:
+        """Operator-window levels: the half-width w of ``_half_width``, band
         l = w // 8 (at least 1) unless set, the full series, no clip."""
-        w = self.w if self.w is not None else default_w
+        w = self._half_width()
         l = self.l if self.l is not None else max(1, w // 8)
         j = self.series_length()
         return TruncationLevels(m=math.inf, k=j, l=l, w=w, j=j)
@@ -499,11 +511,14 @@ def run_esd(config: ExperimentConfig) -> Report:
 # truncation ladder
 
 
-def ladder_distances(entries, levels_seq) -> list[tuple[float, float, float]]:
+def ladder_distances(entries, rungs) -> list[tuple[float, float, float]]:
     """Levy distances (d_clip, d_band, d_topk) between the ESDs of the four
     truncation stages -- full, magnitude-clipped, band-truncated, top-k --
-    one triple per entry of ``levels_seq``.
+    one triple per rung.
 
+    Each rung is a pair (levels, band) with band the projection symbol
+    ``projection_symbol(len(entries), levels.l)``, which depends on the size
+    and band width alone, so a caller builds it once for all replicas.
     Each stage is computed from its coefficient vector in the circulant
     basis (``stage_eigvals``).  The full stage does not depend on the
     levels and is solved once; a clip that changes no entry reuses its ESD
@@ -512,8 +527,7 @@ def ladder_distances(entries, levels_seq) -> list[tuple[float, float, float]]:
     b = entries.b
     full = esd(stage_eigvals(b))
     triples = []
-    for levels in levels_seq:
-        band = projection_symbol(len(entries), levels.l)
+    for levels, band in rungs:
         clipped = clip_entries(b, levels.m)
         stages = [
             full,
@@ -532,8 +546,9 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     exceed its value at the smallest l (monotone trend within slack).
 
     Each replica of size n_i is drawn once, from size block i, and measured
-    at every band width by one ``ladder_distances`` call; rows are written
-    in (n, l, r) order."""
+    at every band width by one ``ladder_distances`` call against the band
+    symbols of size n_i, built once per (n, l); rows are written in
+    (n, l, r) order."""
     report = _new_report(config)
     out = _out_dir(config)
     params = config.params()
@@ -548,10 +563,11 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     with open(out / "ladder.csv", "w") as fh:
         fh.write("n,l,m,k,replica,d_clip,d_band,d_topk\n")
         for n, block in zip(n_list, _stream_blocks(config).values()):
+            rungs = [(levels, projection_symbol(n, levels.l)) for levels in levels_seq]
             per_replica = []
             for stream in block:
                 entries = sample_entries(n, params, seed.with_stream(stream))
-                per_replica.append(ladder_distances(entries, levels_seq))
+                per_replica.append(ladder_distances(entries, rungs))
             for l, levels, rows in zip(l_list, levels_seq, zip(*per_replica)):
                 for r, (d1, d2, d3) in enumerate(rows):
                     fh.write(f"{n},{l},{levels.m!r},{levels.k},{r},{d1!r},{d2!r},{d3!r}\n")
@@ -582,11 +598,11 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
 
 def reference_limit_measure(config: ExperimentConfig) -> PointMeasure:
     """Pooled Monte Carlo estimate of the limiting measure used as the
-    comparison target: window levels at w = 512 (no clip, full series), with
-    an explicit m or k replacing its level."""
+    comparison target: the window levels (no clip, full series), with an
+    explicit m or k replacing its level."""
     return mc_limit_measure(
         config.params(),
-        config.with_explicit_levels(config.window_levels(512)),
+        config.with_explicit_levels(config.window_levels()),
         streams=_stream_blocks(config)["reference"],
         inner=config.inner,
         seed=config.base_seed(),
@@ -690,12 +706,13 @@ def interlacing_violation(entries, rng: np.random.Generator) -> tuple[float, flo
     """Worst signed violation of the interlacing of Toeplitz eigenvalues
     between circulant eigenvalues g (negative means satisfied), with an
     independent-copy wrap entry, and S = max |g|.  g is the FFT of the
-    circulant's symbol."""
-    wrap = float(
-        np.where(rng.random() < entries.p, 1.0, -1.0)
-        * (1.0 - rng.random()) ** (-1.0 / entries.alpha)
-        / entries.c_n
-    )
+    circulant's symbol.  The wrap is scaled like the entries, on the same
+    overflow guard."""
+    sign = np.where(rng.random() < entries.p, 1.0, -1.0)
+    # numpy's scalar power is libm's pow, as Python's float power is; an
+    # array power may round differently
+    v = np.float64(1.0 - rng.random())
+    wrap = float(_scaled_entries(sign, v, len(entries), entries.c_n, entries.alpha))
     g = np.sort(np.fft.fft(circulant_symbol(entries, wrap)).real)
     t = toeplitz_eigvalsh(entries.b)
     n = t.shape[0]
@@ -718,7 +735,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     # CDF mirror identity outright; the raw estimate's asymmetry must be
     # statistically consistent with zero (4 standard errors over replicas)
     params = config.params()
-    levels = config.window_levels(256)
+    levels = config.window_levels()
     raw = mc_limit_measure(
         params,
         levels,
@@ -762,9 +779,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         frac_pass = {0.5: 0, 1.0: 0}
         for stream in block:
             env = sample_environment(a_j, a_params, seed.with_stream(stream))
-            window = operator_window(env, a_levels)
-            measure = window_measure_at_unit_vector(window, a_levels.core)
-            sym = measure.mirrored()
+            sym = window_measure(env, a_levels).mirrored()
             for beta in (0.5, 1.0):
                 bound = subgaussian_bound(env, beta)
                 if mgf(sym, beta) <= tol("mgf_slack") * bound:

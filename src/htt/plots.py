@@ -132,12 +132,16 @@ def render_histogram_svg(series, title: str = "") -> str:
 def emit_plots(csv_paths, out_path=None, overlay: bool = True, title: str = ""):
     """Render histogram CSVs to SVG.
 
-    With ``overlay`` all inputs share one SVG; otherwise one SVG per input.
-    Returns the list of files written.
+    With ``overlay`` all inputs share one SVG, ``out_path`` or the first
+    CSV's path with suffix .svg; otherwise one SVG per input, next to it, and
+    an ``out_path`` is rejected.  Returns the list of files written.
     """
     csv_paths = [Path(p) for p in csv_paths]
     if not csv_paths:
         raise ValueError("no histogram CSVs given")
+    if out_path is not None and not overlay:
+        raise ValueError("an output path names the overlay SVG; separate plots "
+                         "are written next to their CSVs")
     series = []
     for p in csv_paths:
         edges, masses = load_histogram_csv(p)

@@ -14,6 +14,7 @@ makes the shift identity on the cosine series exact instead of merely close.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +88,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class EntrySequence:
     """Normalizer c_n and scaled entries b = a / c_n of the raw entries a.
 
+    c_n is inf where n**(1/alpha) exceeds the float range (small alpha);
+    b is then still exact to rounding (see ``entries_from_uniforms``).
     ``top(k)`` returns the positions of the k largest |b| in descending
     magnitude; ties keep the lower index first.
     """
@@ -131,19 +134,47 @@ class Environment:
 
 def normalizer(n: int, alpha: float) -> float:
     """Scale c_n = inf{t : P(|a| >= t) <= 1/n} = n**(1/alpha) for the pure
-    Pareto tail.  Accepts any tail exponent alpha > 0."""
+    Pareto tail, or inf where that exceeds the float range.  Accepts any
+    tail exponent alpha > 0."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return float(n) ** (1.0 / alpha)
+    try:
+        return float(n) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_entries(signs, v, n: int, c_n: float, alpha: float):
+    """Scaled entries signs * v**(-1/alpha) / c_n of uniforms v in (0, 1] at
+    size n, c_n = ``normalizer(n, alpha)``.
+
+    That arithmetic is kept wherever it is finite, so those bits never move.
+    At small alpha, v**(-1/alpha) can overflow although the scaled entry is
+    in range, and c_n itself can overflow (inf); those entries (every entry,
+    when c_n is inf) are taken as signs * (n v)**(-1/alpha) instead, which
+    overflows only where the scaled entry does; an entry that overflows
+    even so raises ValueError.  v and signs are numpy arrays or scalars.
+    """
+    q = -1.0 / alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = signs * v ** q / c_n
+        redo = ~np.isfinite(b) | math.isinf(c_n)
+        if np.any(redo):
+            b = np.where(redo, signs * (n * v) ** q, b)
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"a scaled entry at size {n} and alpha = {alpha} "
+                         f"exceeds the float range")
+    return b
 
 
 def entries_from_uniforms(v, signs, params: AlphaParams) -> EntrySequence:
     """Build an entry sequence from explicit uniforms v in (0, 1] and signs.
 
-    |a_k| = v_k**(-1/alpha), a_k = signs_k * |a_k|.  Exposed so tests can
-    drive the inverse-CDF map with hand-picked uniforms.
+    |a_k| = v_k**(-1/alpha), a_k = signs_k * |a_k|, scaled by c_n as in
+    ``_scaled_entries``.  Exposed so tests can drive the inverse-CDF map
+    with hand-picked uniforms.
     """
     v = np.asarray(v, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -153,9 +184,8 @@ def entries_from_uniforms(v, signs, params: AlphaParams) -> EntrySequence:
         raise ValueError("need at least one entry")
     if np.any(v <= 0.0) or np.any(v > 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
-    a = signs * v ** (-1.0 / params.alpha)
     c_n = normalizer(v.size, params.alpha)
-    b = a / c_n
+    b = _scaled_entries(signs, v, v.size, c_n, params.alpha)
     return EntrySequence(c_n=c_n, b=b, alpha=params.alpha, p=params.p)
 
 

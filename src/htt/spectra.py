@@ -13,11 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .limit_operator import (
-    OperatorWindow,
-    operator_window,
-    projection_unit_vector,
-)
+from .limit_operator import operator_window, projection_unit_vector
 from .matrices import TruncationLevels
 from .sampler import AlphaParams, Environment, RngSeed, _environment_from, redraw_phases
 
@@ -25,7 +21,7 @@ __all__ = [
     "PointMeasure",
     "esd",
     "spectral_measure_at",
-    "window_measure_at_unit_vector",
+    "window_measure",
     "mc_limit_measure",
     "quenched_sub_measure",
     "resolvent_identity_residual",
@@ -137,18 +133,18 @@ def spectral_measure_at(a: np.ndarray, v: np.ndarray) -> PointMeasure:
     return PointMeasure.from_atoms(values[keep], weights[keep] / weights[keep].sum())
 
 
-def window_measure_at_unit_vector(window: OperatorWindow, core_radius: int) -> PointMeasure:
-    """Spectral measure of a window at the projected basis vector.
+def window_measure(env: Environment, levels: TruncationLevels) -> PointMeasure:
+    """Spectral measure of the environment's operator window at ``levels``,
+    taken at the projected basis vector.
 
-    The vector sqrt(2) * (projection column at 0), taken in the window's
-    gauge (see :mod:`htt.limit_operator`), is restricted to
-    |k| <= core_radius (``TruncationLevels.core``) and renormalized.
+    The vector sqrt(2) * (projection column at 0), in the window's gauge
+    (see :mod:`htt.limit_operator`), is restricted to |k| <= levels.core
+    and renormalized.
     """
+    window = operator_window(env, levels)
     w = window.half_width
-    if not 1 <= core_radius <= w:
-        raise ValueError(f"core radius must lie in [1, {w}]")
     ks = np.arange(-w, w + 1)
-    v = np.where(np.abs(ks) <= core_radius, projection_unit_vector(w), 0.0)
+    v = np.where(np.abs(ks) <= levels.core, projection_unit_vector(w), 0.0)
     v = v / np.linalg.norm(v)
     return spectral_measure_at(window.matrix, v)
 
@@ -169,8 +165,7 @@ def _limit_measure_replica(
     for t in range(inner):
         if t:
             env = redraw_phases(env, rng)
-        window = operator_window(env, levels)
-        measure = window_measure_at_unit_vector(window, levels.core)
+        measure = window_measure(env, levels)
         measures.append(measure.mirrored() if symmetrize else measure)
     return measures
 

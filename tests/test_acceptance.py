@@ -40,7 +40,7 @@ from htt.spectra import (
     PointMeasure,
     esd,
     resolvent_identity_residual,
-    window_measure_at_unit_vector,
+    window_measure,
 )
 from oracles import dft_matrix, ks_distance
 
@@ -190,12 +190,7 @@ def test_criterion_08_subgaussian_mgf():
         passed = {0.5: 0, 1.0: 0}
         for r in range(100):
             env = sample_environment(j, params, RngSeed(SEED, 2000 + 500 * a_idx + r))
-            window = operator_window(env, levels)
-            m = window_measure_at_unit_vector(window, core_radius=levels.w - levels.l)
-            sym = PointMeasure.from_atoms(
-                np.concatenate([m.locations, -m.locations]),
-                np.concatenate([m.weights, m.weights]) / 2.0,
-            )
+            sym = window_measure(env, levels).mirrored()
             for beta in (0.5, 1.0):
                 if mgf(sym, beta) <= 1.10 * subgaussian_bound(env, beta):
                     passed[beta] += 1

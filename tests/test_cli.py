@@ -89,6 +89,8 @@ def test_config_error_exit_code(tmp_path):
         ("limit", "n_list = 8, 8, 16\nw = 8\nreplicas = 2\nref_envs = 2\n"),
         ("ladder", "n_list = 8\nl_list = 2, 2\n"),
         ("equidist", "n_list = 2\nreplicas = 5\ntop_coords = 8\n"),
+        ("properties", "alpha = 0.9\nl = 600\nreplicas = 2\n"),
+        ("limit", "n_list = 8, 16, 32\nl = 1100\nreplicas = 2\nref_envs = 1\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
@@ -99,7 +101,8 @@ def test_config_error_exit_code(tmp_path):
          "limit-reference-streams-overlap", "bins-zero", "bins-negative",
          "bins-fraction", "bins-text", "seed-negative", "seed-fraction", "seed-text",
          "equidist-level-zero", "equidist-level-above-one", "esd-repeated-size",
-         "limit-repeated-size", "ladder-repeated-band", "equidist-top-coords-beyond-size"],
+         "limit-repeated-size", "ladder-repeated-band", "equidist-top-coords-beyond-size",
+         "properties-band-beyond-default-window", "limit-band-beyond-default-window"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"
@@ -156,6 +159,19 @@ def test_plot_subcommand(tmp_path, capsys):
 
 def test_plot_without_inputs():
     assert main(["plot"]) == EXIT_CONFIG_ERROR
+
+
+def test_plot_separate_rejects_out(tmp_path):
+    # --out names the overlay SVG; with --separate nothing is written
+    from htt.serialize import save_histogram_csv
+    import numpy as np
+
+    csvs = [tmp_path / "a_hist.csv", tmp_path / "b_hist.csv"]
+    for csv in csvs:
+        save_histogram_csv(csv, np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]))
+    argv = ["plot", *map(str, csvs), "--separate", "--out", str(tmp_path / "overlay.svg")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def _python(code: str, *args: str) -> str:

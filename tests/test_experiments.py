@@ -102,10 +102,11 @@ class TestConfigParsing:
         assert (lv.m, lv.k) == (coupled.m, 3)
 
     def test_window_levels(self):
-        lv = config_from_mapping("limit", {"n_list": (8, 16, 32), "alpha": 0.5}).window_levels(512)
+        lv = config_from_mapping("limit", {"n_list": (8, 16, 32), "alpha": 0.5}).window_levels()
         assert (lv.m, lv.l, lv.w) == (math.inf, 64, 512)
         assert lv.k == lv.j == default_series_length(0.5)
-        lv = config_from_mapping("properties", {"w": 4, "j": 50}).window_levels(256)
+        assert config_from_mapping("properties", {}).window_levels().w == 256
+        lv = config_from_mapping("properties", {"w": 4, "j": 50}).window_levels()
         assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (math.inf, 50, 1, 4, 50)
 
     @pytest.mark.parametrize(
@@ -273,14 +274,16 @@ class TestLadder:
         # band covering everything, no clip, full top-k: all stages identical
         e = sample_entries(16, AlphaParams(0.5), RngSeed(5))
         with pytest.warns(UserWarning):
-            [(d1, d2, d3)] = ladder_distances(
-                e, [TruncationLevels(m=math.inf, k=16, l=16, w=1, j=1)]
-            )
+            band = projection_symbol(16, 16)
+        [(d1, d2, d3)] = ladder_distances(
+            e, [(TruncationLevels(m=math.inf, k=16, l=16, w=1, j=1), band)]
+        )
         assert d1 <= 1e-9 and d2 <= 1e-9 and d3 <= 1e-9
 
     def test_heavy_clip_changes_spectrum(self):
         e = sample_entries(32, AlphaParams(0.5), RngSeed(6))
-        [(d1, _, _)] = ladder_distances(e, [TruncationLevels(m=1e-6, k=32, l=8, w=1, j=1)])
+        levels = TruncationLevels(m=1e-6, k=32, l=8, w=1, j=1)
+        [(d1, _, _)] = ladder_distances(e, [(levels, projection_symbol(32, 8))])
         assert d1 > 0.01
 
     def test_run_matches_per_level_oracle(self, tmp_path):
@@ -292,6 +295,20 @@ class TestLadder:
         observed = {c.name: c.observed for c in report.checks}
         assert observed == {"ladder_final_distance": final,
                             "ladder_trend": final - totals[(33, 2)]}
+
+    def test_band_symbol_built_once_per_size_and_band(self, tmp_path, monkeypatch):
+        # a band symbol depends on (n, l) alone, so a run builds each once
+        built = []
+        symbol = experiments.projection_symbol
+
+        def counting_symbol(n, l):
+            built.append((n, l))
+            return symbol(n, l)
+
+        monkeypatch.setattr(experiments, "projection_symbol", counting_symbol)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **_LADDER_CASE)
+        run_experiment(cfg)
+        assert sorted(built) == [(n, l) for n in cfg.n_list for l in cfg.l_list]
 
     def test_each_stage_solved_once_per_replica(self, tmp_path, monkeypatch):
         # per (n, r): one draw, one unbanded full solve, an unbanded clipped
@@ -456,6 +473,28 @@ class TestInterlacing:
             want = max(np.max(g[:n] - t), np.max(t - g[n:]))
             assert abs(got - want) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
             assert abs(scale - np.abs(g).max()) <= 1e-13 * max(1.0, np.abs(entries.b).sum())
+
+    def test_small_alpha_wrap_is_finite(self, monkeypatch):
+        # rng seed 852 gives the wrap the uniform 1.74e-4, whose power
+        # (1.74e-4)**(-100) overflows; the scaled wrap (128 * 1.74e-4)**(-100)
+        # = 1.4e165 does not
+        entries = sample_entries(128, AlphaParams(0.01), RngSeed(3))
+        rng = np.random.default_rng(852)
+        rng.random()
+        v = 1.0 - rng.random()
+        with pytest.raises(OverflowError):
+            v ** -100.0
+        wraps = []
+        symbol = experiments.circulant_symbol
+
+        def recording_symbol(entries, wrap):
+            wraps.append(wrap)
+            return symbol(entries, wrap)
+
+        monkeypatch.setattr(experiments, "circulant_symbol", recording_symbol)
+        violation, scale = interlacing_violation(entries, np.random.default_rng(852))
+        assert math.isfinite(violation) and math.isfinite(scale)
+        assert abs(wraps[0]) == pytest.approx((128 * v) ** -100.0, rel=1e-13)
 
 
 class TestIdentityScale:

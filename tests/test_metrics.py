@@ -256,19 +256,13 @@ class TestQuenchedBoundsOnSamples:
     def test_window_measure_respects_mgf_bound(self):
         # quenched check at unit-test scale: the symmetrized window measure
         # at the unit vector satisfies the subgaussian MGF bound per draw
-        from htt.limit_operator import operator_window
         from htt.matrices import TruncationLevels
-        from htt.spectra import window_measure_at_unit_vector
+        from htt.spectra import window_measure
 
         params = AlphaParams(0.5, 0.5)
         lv = TruncationLevels(m=math.inf, k=500, l=16, w=128, j=500)
         for r in range(10):
             env = sample_environment(500, params, RngSeed(600, r))
-            win = operator_window(env, lv)
-            m = window_measure_at_unit_vector(win, core_radius=112)
-            sym = PointMeasure.from_atoms(
-                np.concatenate([m.locations, -m.locations]),
-                np.concatenate([m.weights, m.weights]) / 2.0,
-            )
+            sym = window_measure(env, lv).mirrored()
             for beta in (0.5, 1.0):
                 assert mgf(sym, beta) <= 1.1 * subgaussian_bound(env, beta)

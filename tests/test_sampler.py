@@ -46,6 +46,10 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             normalizer(4, 0.0)
 
+    def test_beyond_float_range_is_inf(self):
+        # 4096**100 exceeds the float range
+        assert normalizer(4096, 0.01) == math.inf
+
 
 class TestEntries:
     def test_inverse_cdf_by_hand(self):
@@ -117,6 +121,49 @@ class TestEntries:
             sample_entries(0, AlphaParams(0.5), RngSeed(0))
         with pytest.raises(ValueError):
             entries_from_uniforms([0.0], [1.0], AlphaParams(0.5))
+
+    def test_small_alpha_draws_are_finite(self):
+        # at alpha = 0.01, v**(-100) overflows in 4 of these 20 draws,
+        # although every scaled entry (256 v)**(-100) lies in range
+        params = AlphaParams(0.01)
+        for r in range(20):
+            e = sample_entries(256, params, RngSeed(20240901, r))
+            assert np.all(np.isfinite(e.b))
+
+    def test_small_alpha_keeps_finite_bits(self):
+        # wherever signs * v**(-1/alpha) / c_n is finite it is the entry, bit
+        # for bit; elsewhere the entry is (n v)**(-1/alpha) to rounding
+        params = AlphaParams(0.01)
+        redone = 0
+        for r in range(20):
+            rng = RngSeed(20240901, r).generator()
+            v = 1.0 - rng.random(256)
+            signs = np.where(rng.random(256) < params.p, 1.0, -1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = signs * v ** (-1.0 / params.alpha) / normalizer(256, params.alpha)
+            e = sample_entries(256, params, RngSeed(20240901, r))
+            finite = np.isfinite(plain)
+            np.testing.assert_array_equal(e.b[finite], plain[finite])
+            np.testing.assert_allclose(e.b[~finite], signs[~finite] * (256 * v[~finite]) ** -100.0,
+                                       rtol=1e-13)
+            redone += int((~finite).sum())
+        assert redone >= 4
+
+    def test_normalizer_overflow_scales_each_entry(self):
+        # c_4096 = inf at alpha = 0.01: each entry is (n v)**(-100), which
+        # underflows to 0 for n v above ~1202
+        e = sample_entries(4096, AlphaParams(0.01), RngSeed(20240901))
+        assert e.c_n == math.inf
+        assert np.all(np.isfinite(e.b)) and np.any(e.b != 0.0)
+        v = np.array([0.5, 1e-3, 1.0])
+        e = entries_from_uniforms(v, np.array([1.0, -1.0, 1.0]), AlphaParams(0.01))
+        np.testing.assert_allclose(e.b, [1.5 ** -100.0, -(3e-3) ** -100.0, 3.0 ** -100.0],
+                                   rtol=1e-13)
+
+    def test_entry_beyond_float_range_raises(self):
+        # (1e-300)**(-100) exceeds the float range at every size
+        with pytest.raises(ValueError, match="float range"):
+            entries_from_uniforms([1e-300, 0.5], [1.0, 1.0], AlphaParams(0.01))
 
     def test_tail_law(self):
         # empirical survival of |a| vs t**-alpha within 3 binomial SEs

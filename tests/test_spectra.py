@@ -17,7 +17,7 @@ from htt.spectra import (
     quenched_sub_measure,
     resolvent_identity_residual,
     spectral_measure_at,
-    window_measure_at_unit_vector,
+    window_measure,
 )
 
 
@@ -156,6 +156,32 @@ class TestVectorMoment:
         win = window_from_diagonal(np.ones(2 * (w + 1024) + 1), w, 1024)
         e0 = win.basis_vector(0)
         assert abs(e0 @ win.matrix @ e0 - 0.5) < 1e-3
+
+
+def _two_step_window_measure(env, levels):
+    """The window measure built in two steps, window then vector: the
+    oracle of window_measure."""
+    window = operator_window(env, levels)
+    w = window.half_width
+    ks = np.arange(-w, w + 1)
+    v = np.where(np.abs(ks) <= levels.core, projection_unit_vector(w), 0.0)
+    v = v / np.linalg.norm(v)
+    return spectral_measure_at(window.matrix, v)
+
+
+class TestWindowMeasure:
+    @pytest.mark.parametrize("levels", [
+        TruncationLevels(m=math.inf, k=300, l=4, w=16, j=300),
+        TruncationLevels(m=math.inf, k=300, l=32, w=16, j=300),
+        TruncationLevels.coupled(8, w=64, j=300),
+        TruncationLevels(m=2.0, k=5, l=1, w=1, j=300),
+    ], ids=["band-inside", "band-at-window-reach", "coupled", "smallest"])
+    def test_equals_two_step_path(self, levels):
+        env = sample_environment(300, AlphaParams(0.7), RngSeed(31))
+        got = window_measure(env, levels)
+        want = _two_step_window_measure(env, levels)
+        np.testing.assert_array_equal(got.locations, want.locations)
+        np.testing.assert_array_equal(got.weights, want.weights)
 
 
 class TestMcLimitMeasure:
