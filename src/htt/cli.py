@@ -35,7 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes for the Monte Carlo limit measures "
-                            "of limit and properties; the other experiments run serially")
+                            "of limit and properties; the other experiments run serially. "
+                            "Workers are forked and inherit BLAS's threads: set "
+                            "OPENBLAS_NUM_THREADS=1, or they can run slower than one process")
     p = sub.add_parser("plot", help="render histogram CSVs to SVG")
     p.add_argument("files", nargs="*", help="histogram CSV files")
     p.add_argument("--out", default=None,

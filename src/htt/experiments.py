@@ -33,7 +33,6 @@ from .matrices import (
     TruncationLevels,
     build_toeplitz,
     circulant_eigs,
-    circulant_symbol,
     clip_entries,
     projection_matrix,
     projection_symbol,
@@ -300,8 +299,9 @@ def _parse_scalar(text: str):
 
 def parse_config_text(text: str) -> dict:
     """Parse the flat key = value config format; '#' starts a comment and
-    comma-separated values become tuples."""
+    comma-separated values become tuples.  A key set twice is an error."""
     out = {}
+    key_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -310,6 +310,9 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
+        if key in key_lines:
+            raise ValueError(f"key {key!r} is set twice, on lines {key_lines[key]} and {lineno}")
+        key_lines[key] = lineno
         if "," in value:
             out[key] = tuple(_parse_scalar(v) for v in value.split(",") if v.strip())
         else:
@@ -705,15 +708,14 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
 def interlacing_violation(entries, rng: np.random.Generator) -> tuple[float, float]:
     """Worst signed violation of the interlacing of Toeplitz eigenvalues
     between circulant eigenvalues g (negative means satisfied), with an
-    independent-copy wrap entry, and S = max |g|.  g is the FFT of the
-    circulant's symbol.  The wrap is scaled like the entries, on the same
-    overflow guard."""
+    independent-copy wrap entry, and S = max |g|.  The wrap is scaled like
+    the entries, on the same overflow guard."""
     sign = np.where(rng.random() < entries.p, 1.0, -1.0)
     # numpy's scalar power is libm's pow, as Python's float power is; an
     # array power may round differently
     v = np.float64(1.0 - rng.random())
     wrap = float(_scaled_entries(sign, v, len(entries), entries.c_n, entries.alpha))
-    g = np.sort(np.fft.fft(circulant_symbol(entries, wrap)).real)
+    g = np.sort(circulant_eigs(entries, wrap))
     t = toeplitz_eigvalsh(entries.b)
     n = t.shape[0]
     lower = np.max(g[:n] - t)

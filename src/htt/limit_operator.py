@@ -34,13 +34,14 @@ operator's matrix elements throughout the window.  A window has bandwidth
 Toeplitz block of the kernel, mirroring upper blocks so that it is exactly
 symmetric.
 
-The random diagonal is a cosine series in the phases u_j + k zeta_j, which
-the sampler puts on the 2**-33 grid.  :func:`series_values` reads every
-phase as an integer index mod 2**33 and every factor exp(2 pi i n / 2**33)
-from three 2**11-entry tables, built on first use: no transcendental is
-evaluated per series term, phases are exact at every offset, and each
-factor is within about 2e-16 (quarter turns exact).  Its values agree with
-the compensated sum of :func:`series_value` to 1e-14 * 2 sum |c_j|.
+The random diagonal is a cosine series in the phases u_j + k zeta_j.  The
+environment carries u and zeta as uint64 indices of the turns n / 2**33
+(:data:`htt.sampler.TURN_BITS`), so every phase is the integer index
+u_j + k zeta_j mod 2**33, exact at every offset k.  :func:`series_values`
+reads every factor exp(2 pi i n / 2**33) from three 2**11-entry tables,
+built on first use: no transcendental is evaluated per series term, and
+each factor is within about 2e-16 (quarter turns exact).  Its values agree
+with the compensated sum of :func:`series_value` to 1e-14 * 2 sum |c_j|.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matrices import TruncationLevels
-from .sampler import Environment
+from .sampler import TURN_BITS, Environment
 
 __all__ = [
     "CosineSeries",
@@ -152,16 +153,17 @@ def series_value(series: CosineSeries, k: int) -> float:
     compensated summation."""
     n = series._coeff_count()
     coeff = series_coefficients(series)
-    phase = np.mod(series.env.u[:n] + k * series.env.zeta[:n], 1.0)
+    index = (series.env.u[:n] + _grid_index(k) * series.env.zeta[:n]) & _TURN_MASK
+    phase = index * 2.0**-TURN_BITS
     return 2.0 * math.fsum(coeff * np.cos(2.0 * np.pi * phase))
 
 
 # i**q for q mod 4: exact quarter turns
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
-# Phases are integer indices n of the turn n / 2**_TURN_BITS; the index
-# splits into three _TABLE_BITS-bit digits, each read from its own table.
-_TURN_BITS = 33
+# A phase index n mod 2**TURN_BITS splits into three _TABLE_BITS-bit
+# digits, each read from its own table.
+_TURN_MASK = np.uint64((1 << TURN_BITS) - 1)
 _TABLE_BITS = 11
 _DIGIT_MASK = (1 << _TABLE_BITS) - 1
 # Rows of a running product between fresh table factors: the product's
@@ -195,21 +197,15 @@ def _turn_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digits = np.arange(1 << _TABLE_BITS, dtype=float)
     hi = _turn(np.ldexp(digits, -_TABLE_BITS))
     mid, lo = (
-        np.expm1(2j * np.pi * np.ldexp(digits, shift - _TURN_BITS))
+        np.expm1(2j * np.pi * np.ldexp(digits, shift - TURN_BITS))
         for shift in (_TABLE_BITS, 0)
     )
     return hi, mid, lo
 
 
-def _phase_index(x: np.ndarray) -> np.ndarray:
-    """uint64 indices n with x = n / 2**33 mod 1, for phases x on the
-    2**-33 grid; any other phase raises ValueError."""
-    scaled = x * 2.0**_TURN_BITS  # exact
-    with np.errstate(invalid="ignore"):
-        n = scaled.astype(np.int64)
-    if not (n == scaled).all():
-        raise ValueError("phases must be multiples of 2**-33 (the sampler's dyadic grid)")
-    return n.view(np.uint64)  # wraps mod 2**64, a multiple of 2**33
+def _grid_index(k: int) -> np.uint64:
+    """Offset k as a uint64 multiplier of grid indices (k mod 2**33)."""
+    return np.uint64(k % (1 << TURN_BITS))
 
 
 def _turn_of(n: np.ndarray) -> np.ndarray:
@@ -263,10 +259,9 @@ def series_values(series: CosineSeries, ks: np.ndarray) -> np.ndarray:
     carried conjugated, so the float views of the two complex arrays
     multiply to the real part directly).
 
-    Phases are integers: u and zeta lie on the 2**-33 grid, so each is an
-    index n = x 2**33 (a phase off that grid raises ValueError), and the
-    three factors have the indices n_u + k_min n_zeta, B n_zeta and
-    -n_zeta, taken mod 2**33 by uint64 wraparound: exact for every offset.
+    Phases are integers: the three factors have the grid indices
+    u_j + k_min zeta_j, B zeta_j and -zeta_j, taken mod 2**33 by uint64
+    wraparound: exact for every offset.
     Each factor is read from three 2**11-entry tables
     (:func:`_turn_tables`), within about 2e-16 and exact at quarter turns,
     with no transcendental call per row.  A running product picks up its
@@ -286,7 +281,7 @@ def series_values(series: CosineSeries, ks: np.ndarray) -> np.ndarray:
     span = int(ks.max()) - k_min + 1
     block = math.isqrt(span - 1) + 1
     count = -(-span // block)
-    start_mult = np.uint64(k_min % (1 << _TURN_BITS))
+    start_mult = _grid_index(k_min)
     table = np.zeros((count, block))
     # one pair of working arrays for all chunks; the last chunk uses a part
     left_rows = np.empty((count, min(n, _SERIES_CHUNK)), dtype=complex)
@@ -294,8 +289,8 @@ def series_values(series: CosineSeries, ks: np.ndarray) -> np.ndarray:
     for lo in range(0, n, _SERIES_CHUNK):
         rows = slice(lo, min(lo + _SERIES_CHUNK, n))
         size = rows.stop - lo
-        zeta = _phase_index(series.env.zeta[rows])
-        start = coeff[rows] * _turn_of(_phase_index(series.env.u[rows]) + start_mult * zeta)
+        zeta = series.env.zeta[rows]
+        start = coeff[rows] * _turn_of(series.env.u[rows] + start_mult * zeta)
         left = _running_powers(start, np.uint64(block) * zeta, left_rows[:, :size])
         right = _running_powers(1.0, -zeta, right_rows[:, :size])
         # Re(a * conj(b)) = Re a Re b + Im a Im b: a dot product of float views
@@ -307,12 +302,11 @@ def series_values(series: CosineSeries, ks: np.ndarray) -> np.ndarray:
 def shift_environment(env: Environment, l: int) -> Environment:
     """Coordinatewise rotation of the phases: u_j -> frac(u_j + l*zeta_j).
 
-    Shifting the environment by l and evaluating the series at k gives the
-    original series at k + l exactly (phases live on a dyadic grid, so the
-    identity holds in floating point, not just up to rounding).
+    The phases are grid indices, so the rotation is the integer sum
+    u_j + l zeta_j mod 2**33, exact for every int l: evaluating the shifted
+    series at k gives the original series at k + l bit for bit.
     """
-    u = np.mod(env.u + float(l) * env.zeta, 1.0)
-    return replace(env, u=u)
+    return replace(env, u=(env.u + _grid_index(l) * env.zeta) & _TURN_MASK)
 
 
 @dataclass(frozen=True)

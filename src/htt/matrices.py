@@ -7,7 +7,8 @@ diagonal spectra are 1-d float arrays of length 2N.  Conventions:
 * The symmetric circulant embedding of an N-entry sequence is 2N x 2N with
   symbol (b_0, ..., b_{N-1}, w, b_{N-1}, ..., b_1); the wrap entry w defaults
   to 0 and never affects the principal N x N block.
-* ``circulant_eigs`` returns d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N).
+* ``circulant_eigs`` returns d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N)
+  + (-1)**k w.
   A ladder stage's diagonal is the cosine spectrum of its coefficients c,
   d_k = 2*sum_{j=0}^{N-1} c_j cos(pi j k / N), k in [2N]: the j = 0 term
   doubled as well, which shifts every eigenvalue by c_0.  An FFT is used
@@ -210,13 +211,14 @@ def _symbol_fft(symbol: np.ndarray) -> np.ndarray:
     return d.real.copy()
 
 
-def circulant_eigs(entries: EntrySequence) -> np.ndarray:
-    """Eigenvalues d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N), k in [2N].
+def circulant_eigs(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarray:
+    """Eigenvalues d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N)
+    + (-1)**k b_N, k in [2N], b_N = ``wrap_entry``.
 
-    These are the eigenvalues of ``build_circulant(entries)`` (wrap entry 0)
+    These are the eigenvalues of ``build_circulant(entries, wrap_entry)``
     in DFT order, not sorted.
     """
-    return _symbol_fft(circulant_symbol(entries))
+    return _symbol_fft(circulant_symbol(entries, wrap_entry))
 
 
 def _cosine_symbol(c: np.ndarray) -> np.ndarray:

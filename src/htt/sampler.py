@@ -3,13 +3,14 @@
 Entries follow a pure Pareto tail: P(|a| >= t) = t**(-alpha) for t >= 1,
 with sign +1 with probability p.  The normalizer c_n = n**(1/alpha) is then
 exact.  The environment consists of Poisson arrival magnitudes (cumulative
-unit-exponential sums), frequencies uniform on [0, 1/2] and phases uniform
+unit-exponential sums), frequencies uniform on [0, 1/2) and phases uniform
 on [0, 1).
 
-Phases and frequencies are drawn on a dyadic grid (multiples of 2**-32 and
-2**-33 respectively) so that phase shifts ``u + l*zeta`` evaluate exactly in
-floating point for |l| up to ~1e6.  Statistically the grid is invisible; it
-makes the shift identity on the cosine series exact instead of merely close.
+Frequencies and phases are uint64 indices n of the turns n / 2**TURN_BITS
+(frequencies below 2**32, phases even and below 2**33), so a phase
+u + l*zeta is the index sum mod 2**33, exact for every offset l.
+Statistically the grid is invisible; it makes the shift identity on the
+cosine series exact instead of merely close.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ __all__ = [
     "default_series_length",
 ]
 
-# Dyadic grid resolution for phases/frequencies; see module docstring.
-_PHASE_BITS = 32
+# Frequencies and phases are indices n of the turns n / 2**TURN_BITS.
+TURN_BITS = 33
 
 # Largest ranks whose relative positions coupled_entry_draws shares across
 # sizes; the rest are placed independently per size.
@@ -115,8 +116,9 @@ class Environment:
     """One realization of the random environment.
 
     gamma : strictly increasing Poisson arrival times (cumulative Exp(1) sums)
-    zeta  : frequencies, uniform on [0, 1/2]
-    u     : phases, uniform on [0, 1)
+    zeta  : frequencies, uniform on [0, 1/2), as uint64 grid indices
+    u     : phases, uniform on [0, 1), as uint64 grid indices (index n is
+            the turn n / 2**TURN_BITS mod 1)
     """
 
     gamma: np.ndarray
@@ -125,6 +127,8 @@ class Environment:
     alpha: float
 
     def __post_init__(self):
+        if self.zeta.dtype != np.uint64 or self.u.dtype != np.uint64:
+            raise TypeError("zeta and u must be uint64 grid indices")
         for f in (self.gamma, self.zeta, self.u):
             _freeze(f)
 
@@ -273,34 +277,46 @@ def _place_ranks(zeta, n: int, rng: np.random.Generator):
     return positions
 
 
-def _dyadic_uniform(rng: np.random.Generator, size: int, scale_bits: int) -> np.ndarray:
-    """Uniform multiples of 2**-scale_bits in [0, 2**(32 - scale_bits))."""
-    ints = rng.integers(0, 1 << _PHASE_BITS, size=size, dtype=np.uint64)
-    return ints.astype(float) * 2.0 ** (-scale_bits)
+def _grid_uniform(rng: np.random.Generator, size: int, shift: int) -> np.ndarray:
+    """Uniform grid indices of [0, 1/2) shifted left by ``shift`` bits."""
+    n = rng.integers(0, 1 << (TURN_BITS - 1), size=size, dtype=np.uint64)
+    return n << np.uint64(shift)
 
 
 def sample_environment(j: int, params: AlphaParams, seed: RngSeed) -> Environment:
     """Draw one environment of series length j."""
     if j < 1:
         raise ValueError(f"series length must be >= 1, got {j}")
+    return _environment_from(seed, j, params)[0]
+
+
+def _environment_from(
+    seed: RngSeed, j: int, params: AlphaParams
+) -> tuple[Environment, np.random.Generator]:
+    """An environment drawn from the start of ``seed``'s stream, and the
+    generator after it.  Raises ValueError where the largest series weight
+    Gamma_1**(-1/alpha) exceeds the float range: that exact value has no
+    finite stand-in.  The check follows the draw, so no stream moves."""
     rng = seed.generator()
-    return _environment_from(rng, j, params)
-
-
-def _environment_from(rng: np.random.Generator, j: int, params: AlphaParams) -> Environment:
     gamma = np.cumsum(rng.standard_exponential(j))
-    zeta = _dyadic_uniform(rng, j, _PHASE_BITS + 1)  # [0, 1/2)
-    u = _dyadic_uniform(rng, j, _PHASE_BITS)  # [0, 1)
+    zeta = _grid_uniform(rng, j, 0)  # [0, 1/2)
+    u = _grid_uniform(rng, j, 1)  # [0, 1), even indices
     # j sign uniforms that nothing reads, drawn to keep redraw_phases on its
     # recorded stream positions; the draw goes with ROADMAP item 1's re-record
     rng.random(j)
-    return Environment(gamma=gamma, zeta=zeta, u=u, alpha=params.alpha)
+    with np.errstate(over="ignore"):
+        overflow = np.isinf(gamma[0] ** (-1.0 / params.alpha))
+    if overflow:
+        raise ValueError(
+            f"series weight Gamma_1**(-1/alpha) exceeds the float range at "
+            f"alpha = {params.alpha}, stream {seed.stream}: Gamma_1 = {gamma[0]:.3g}"
+        )
+    return Environment(gamma=gamma, zeta=zeta, u=u, alpha=params.alpha), rng
 
 
 def redraw_phases(env: Environment, rng: np.random.Generator) -> Environment:
     """Fresh phases u for a fixed (gamma, zeta): one conditional redraw."""
-    u = _dyadic_uniform(rng, len(env), _PHASE_BITS)
-    return replace(env, u=u)
+    return replace(env, u=_grid_uniform(rng, len(env), 1))
 
 
 def default_series_length(alpha: float) -> int:

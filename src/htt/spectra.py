@@ -159,8 +159,7 @@ def _limit_measure_replica(
     """The window measures of one environment under `inner` phase draws:
     the environment's own phases, then inner - 1 redraws, one between
     consecutive windows."""
-    rng = seed.generator()
-    env = _environment_from(rng, levels.j, params)
+    env, rng = _environment_from(seed, levels.j, params)
     measures = []
     for t in range(inner):
         if t:

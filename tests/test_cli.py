@@ -91,6 +91,7 @@ def test_config_error_exit_code(tmp_path):
         ("equidist", "n_list = 2\nreplicas = 5\ntop_coords = 8\n"),
         ("properties", "alpha = 0.9\nl = 600\nreplicas = 2\n"),
         ("limit", "n_list = 8, 16, 32\nl = 1100\nreplicas = 2\nref_envs = 1\n"),
+        ("esd", "alpha = 0.5\nn_list = 8\nalpha = 0.9\n"),
     ],
     ids=["alpha", "band-width", "size", "replicas", "clip-level", "top-k",
          "band-level", "window", "series-length", "band-beyond-window",
@@ -102,7 +103,8 @@ def test_config_error_exit_code(tmp_path):
          "bins-fraction", "bins-text", "seed-negative", "seed-fraction", "seed-text",
          "equidist-level-zero", "equidist-level-above-one", "esd-repeated-size",
          "limit-repeated-size", "ladder-repeated-band", "equidist-top-coords-beyond-size",
-         "properties-band-beyond-default-window", "limit-band-beyond-default-window"],
+         "properties-band-beyond-default-window", "limit-band-beyond-default-window",
+         "repeated-key"],
 )
 def test_invalid_config_exits_before_work(tmp_path, command, text):
     cfg = tmp_path / "bad.cfg"

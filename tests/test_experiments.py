@@ -34,7 +34,6 @@ from htt.matrices import (
     build_circulant,
     build_toeplitz,
     circulant_eigs,
-    circulant_symbol,
     clip_entries,
     projection_symbol,
     stage_eigvals,
@@ -72,6 +71,10 @@ class TestConfigParsing:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("this is not a key value pair")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="'alpha' is set twice, on lines 1 and 3"):
+            parse_config_text("alpha = 0.5\nreplicas = 2\nalpha = 0.9\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -441,14 +444,14 @@ class TestPropertySuite:
         "the recorded interlacing value"))
     def test_interlacing_wrap_independent_of_entries(self, tmp_path, monkeypatch):
         # the interlacing check's wrap entry should be an independent copy;
-        # record the wrap and entries each replica passes to circulant_symbol
+        # record the wrap and entries each replica passes to circulant_eigs
         seen = []
 
         def recording(entries, wrap=0.0):
             seen.append((entries.b.copy(), wrap))
-            return circulant_symbol(entries, wrap)
+            return circulant_eigs(entries, wrap)
 
-        monkeypatch.setattr("htt.experiments.circulant_symbol", recording)
+        monkeypatch.setattr("htt.experiments.circulant_eigs", recording)
         cfg = ExperimentConfig(
             experiment="properties", alpha=0.9, w=8, l=2, n_list=(16,),
             replicas=2, seed=20240901, out_dir=str(tmp_path),
@@ -485,13 +488,12 @@ class TestInterlacing:
         with pytest.raises(OverflowError):
             v ** -100.0
         wraps = []
-        symbol = experiments.circulant_symbol
 
-        def recording_symbol(entries, wrap):
+        def recording_eigs(entries, wrap):
             wraps.append(wrap)
-            return symbol(entries, wrap)
+            return circulant_eigs(entries, wrap)
 
-        monkeypatch.setattr(experiments, "circulant_symbol", recording_symbol)
+        monkeypatch.setattr(experiments, "circulant_eigs", recording_eigs)
         violation, scale = interlacing_violation(entries, np.random.default_rng(852))
         assert math.isfinite(violation) and math.isfinite(scale)
         assert abs(wraps[0]) == pytest.approx((128 * v) ** -100.0, rel=1e-13)

@@ -147,6 +147,12 @@ class TestCirculantEigs:
             scale = max(1.0, np.abs(d).max())
             np.testing.assert_allclose(d, ev, atol=1e-10 * scale)
 
+    def test_wrap_entry_matches_dense_eigensolver(self):
+        e = _entries(16, seed=4)
+        d = np.sort(circulant_eigs(e, wrap_entry=0.75))
+        ev = np.linalg.eigvalsh(build_circulant(e, wrap_entry=0.75))
+        np.testing.assert_allclose(d, ev, atol=1e-10 * max(1.0, np.abs(d).max()))
+
 
 class TestApproxEigs:
     def test_shift_is_b0(self):

@@ -189,8 +189,8 @@ def _env_from_gamma(gamma, alpha=0.5):
     n = len(gamma)
     return Environment(
         gamma=gamma,
-        zeta=np.zeros(n),
-        u=np.zeros(n),
+        zeta=np.zeros(n, dtype=np.uint64),
+        u=np.zeros(n, dtype=np.uint64),
         alpha=alpha,
     )
 

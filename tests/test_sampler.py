@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.stats
 
 from htt.sampler import (
     COUPLED_TOP_RANKS,
+    TURN_BITS,
     AlphaParams,
     RngSeed,
     _coupled_layout,
@@ -307,8 +309,22 @@ class TestEnvironment:
         # gamma must be the running sum of its own positive increments
         incr = np.diff(np.concatenate([[0.0], env.gamma]))
         np.testing.assert_allclose(np.cumsum(incr), env.gamma, rtol=1e-12)
-        assert np.all(env.zeta >= 0) and np.all(env.zeta <= 0.5)
-        assert np.all(env.u >= 0) and np.all(env.u < 1.0)
+        # grid indices: frequencies are turns in [0, 1/2), phases even
+        # indices of turns in [0, 1)
+        assert env.zeta.dtype == env.u.dtype == np.uint64
+        assert np.all(env.zeta < 1 << (TURN_BITS - 1))
+        assert np.all(env.u < 1 << TURN_BITS) and np.all(env.u % 2 == 0)
+
+    def test_rejects_float_phases(self):
+        env = sample_environment(4, AlphaParams(0.5), RngSeed(0))
+        with pytest.raises(TypeError, match="uint64"):
+            replace(env, u=env.u * 2.0**-TURN_BITS)
+
+    def test_overflowing_series_weight_raises(self):
+        # this stream draws Gamma_1 = 2.1e-4, so the series weight
+        # Gamma_1**(-100) at alpha = 0.01 exceeds the float range
+        with pytest.raises(ValueError, match=r"alpha = 0\.01, stream 501830: Gamma_1 = 0\.00021"):
+            sample_environment(64, AlphaParams(0.01), RngSeed(20240901, 501830))
 
     def test_gamma_law_of_large_numbers(self):
         j = 100_000

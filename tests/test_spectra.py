@@ -283,8 +283,9 @@ class TestResolventIdentity:
 
         env = Environment(
             gamma=np.array([1e300, 2e300]),
-            zeta=np.array([0.125, 0.25]),
-            u=np.array([0.375, 0.5]),
+            # grid indices of the turns 1/8, 1/4 and 3/8, 1/2
+            zeta=np.array([1, 2], dtype=np.uint64) << np.uint64(30),
+            u=np.array([3, 4], dtype=np.uint64) << np.uint64(30),
             alpha=0.5,
         )
         lv = TruncationLevels(m=math.inf, k=2, l=1, w=32, j=2)
