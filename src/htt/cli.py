@@ -6,7 +6,7 @@
 Experiments: esd, ladder, limit, properties, equidist.  The config
 file is flat ``key = value`` text (see README); command line flags override
 it.  Exit status: 0 when every hard check passes, 1 on check failures, 2 on
-configuration errors.
+configuration errors and on runs refused mid-way (a ValueError).
 """
 
 from __future__ import annotations
@@ -63,7 +63,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except ValueError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     report.print_lines()
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 

@@ -33,8 +33,8 @@ k -> (N + 1 - k) mod 2N, which fixes q_l and the circulant C.  In the basis
 of symmetric and antisymmetric combinations of mirrored coordinates
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976) each splits into an even
 and an odd real block of about half the size; ``toeplitz_eigvalsh`` and
-``stage_eigvals`` solve the two blocks, and ``build_toeplitz`` remains the
-dense oracle.
+``stage_eigvals`` solve the two blocks, and ``build_toeplitz``, a strided
+view of T, remains the dense oracle.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 
 
 def build_toeplitz(entries: EntrySequence) -> np.ndarray:
-    """N x N symmetric Toeplitz matrix T(k, l) = b_|k-l|."""
-    return _toeplitz(entries.b)
+    """N x N symmetric Toeplitz matrix T(k, l) = b_|k-l|, as the read-only
+    strided view ``_toeplitz_view(entries.b)``: no N x N array is made."""
+    return _toeplitz_view(entries.b)
 
 
 def _split_eigvalsh(
@@ -206,11 +207,6 @@ def build_circulant(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarr
     return _circulant(circulant_symbol(entries, wrap_entry))
 
 
-def _symbol_fft(symbol: np.ndarray) -> np.ndarray:
-    d = np.fft.fft(symbol)
-    return d.real.copy()
-
-
 def circulant_eigs(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarray:
     """Eigenvalues d_k = b_0 + 2*sum_{j=1}^{N-1} b_j cos(pi j k / N)
     + (-1)**k b_N, k in [2N], b_N = ``wrap_entry``.
@@ -218,7 +214,7 @@ def circulant_eigs(entries: EntrySequence, wrap_entry: float = 0.0) -> np.ndarra
     These are the eigenvalues of ``build_circulant(entries, wrap_entry)``
     in DFT order, not sorted.
     """
-    return _symbol_fft(circulant_symbol(entries, wrap_entry))
+    return np.fft.fft(circulant_symbol(entries, wrap_entry)).real.copy()
 
 
 def _cosine_symbol(c: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import htt
+from htt import experiments
 from htt.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
+from htt.matrices import _hankel, _split_eigvalsh, _toeplitz_view
 from test_experiments import _TOY_RUNS
 
 
@@ -42,6 +45,24 @@ def test_small_alpha_corner_identity_passes(tmp_path):
     check = next(c for c in report["checks"] if c["name"] == "corner_identity_n64")
     assert check["observed"] > report["provenance"]["tolerances"]["esd_identity"]
     assert check["observed"] <= 1e-8 * check["threshold"]  # at most 1e-14 S
+
+
+def test_corner_check_catches_a_wrong_split_solve(tmp_path, monkeypatch):
+    # a planted defect in the solve whose spectra esd writes: the odd-n
+    # split without the 1/sqrt(2) scaling of the middle coordinate
+    def unscaled_split(b):
+        b = np.asarray(b, dtype=float)
+        m = (len(b) + 1) // 2
+        return _split_eigvalsh(_toeplitz_view(b[:m]), _hankel(b[::-1][: 2 * m - 1], m),
+                               inner=slice(None, -1))
+
+    monkeypatch.setattr(experiments, "toeplitz_eigvalsh", unscaled_split)
+    cfg = tmp_path / "esd.cfg"
+    cfg.write_text("n_list = 7\nreplicas = 2\n")
+    out = tmp_path / "out"
+    assert main(["esd", "--config", str(cfg), "--out", str(out)]) == EXIT_CHECK_FAILURE
+    report = json.loads((out / "report_esd.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["corner_identity_n7"]
 
 
 def test_config_error_exit_code(tmp_path):
@@ -176,13 +197,32 @@ def test_plot_separate_rejects_out(tmp_path):
     assert not list(tmp_path.glob("*.svg"))
 
 
-def _python(code: str, *args: str) -> str:
-    """Stdout of a fresh interpreter running code with argv[1:] = args."""
+def _interpreter(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with the given arguments, htt importable."""
     src = str(Path(htt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=check)
+
+
+def _python(code: str, *args: str) -> str:
+    """Stdout of a fresh interpreter running code with argv[1:] = args."""
+    return _interpreter("-c", code, *args).stdout
+
+
+def test_run_refused_mid_way_exits_2_without_traceback(tmp_path):
+    # the config is valid, but at alpha = 0.01 reference stream 500000 draws
+    # Gamma_1 = 2.0e-4, whose weight Gamma_1**(-100) is beyond the float range
+    cfg = tmp_path / "limit.cfg"
+    cfg.write_text("alpha = 0.01\nn_list = 8, 16, 32\nw = 8\nreplicas = 2\n"
+                   "ref_envs = 1\nseed = 904\n")
+    proc = _interpreter("-m", "htt.cli", "limit", "--config", str(cfg),
+                        "--out", str(tmp_path / "out"), check=False)
+    assert proc.returncode == EXIT_CONFIG_ERROR
+    assert proc.stderr.startswith("run error: ")
+    assert "alpha = 0.01" in proc.stderr and "stream 500000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_import_builds_no_phase_table():

@@ -17,6 +17,7 @@ from htt.experiments import (
     _kolmogorov_cdf,
     _kolmogorov_critical,
     _ks_statistic,
+    _max_bin_correlation,
     _stream_blocks,
     config_from_mapping,
     corner_embedding_deviation,
@@ -578,7 +579,48 @@ class TestKolmogorovSmirnov:
         assert abs(_kolmogorov_critical(level) - want) <= 1e-12
 
 
+def _pairwise_bin_correlation(coords, bins=8):
+    """Oracle of ``_max_bin_correlation``: one corrcoef per pair of
+    non-constant indicator columns of different coordinates."""
+    k = coords.shape[1]
+    binned = np.floor(coords * bins).astype(int)
+    worst = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            for b1 in range(bins):
+                for b2 in range(bins):
+                    x = (binned[:, i] == b1).astype(float)
+                    y = (binned[:, j] == b2).astype(float)
+                    if x.std() > 0 and y.std() > 0:
+                        worst = max(worst, abs(np.corrcoef(x, y)[0, 1]))
+    return worst
+
+
 class TestEquidistRun:
+    @pytest.mark.parametrize("top_coords", [1, 2, 8])
+    def test_bin_correlation_matches_pairwise_oracle(self, top_coords):
+        # corrcoef sums each covariance with a BLAS kernel picked by the
+        # matrix shape, so one pass and the two-row oracle can differ in the
+        # last bits (3.3e-16 seen); 1e-15 is 4.5 eps
+        rng = np.random.default_rng(top_coords)
+        found = []
+        for replicas in (1, 2, 20, 200):
+            skewed = rng.random((replicas, top_coords)) ** 3  # top bins often empty
+            constant = skewed.copy()
+            constant[:, 0] = 0.3  # every indicator of coordinate 0 constant
+            for coords in (skewed, constant):
+                want = _pairwise_bin_correlation(coords)
+                assert abs(_max_bin_correlation(coords) - want) <= 1e-15
+                found.append(want)
+        assert (max(found) > 0) == (top_coords > 1)
+
+    def test_default_threshold_is_the_kolmogorov_critical_value(self, tmp_path):
+        cfg = ExperimentConfig(experiment="equidist", n_list=(64,), replicas=20,
+                               top_coords=2, out_dir=str(tmp_path))
+        ks = [c for c in run_equidistribution(cfg).checks if c.name.startswith("ks_uniform")]
+        assert len(ks) == 2
+        assert all(c.threshold == _kolmogorov_critical(0.01) / math.sqrt(20) for c in ks)
+
     def test_degenerate_size_skips(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="equidist", n_list=(1,), replicas=10, top_coords=1,

@@ -91,6 +91,16 @@ class TestToeplitz:
             for l in range(4):
                 assert t[k, l] == e.b[abs(k - l)]
 
+    def test_view_is_read_only_and_solves_like_a_copy(self):
+        # T is a strided view: writes are refused, and eigvalsh reads it to
+        # the bit as it reads a contiguous copy
+        for n in (1, 2, 3, 255, 256, 1024):
+            t = build_toeplitz(_entries(n, seed=n, alpha=0.5))
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0, 0] = 1.0
+            assert np.linalg.eigvalsh(t).tobytes() == np.linalg.eigvalsh(np.array(t)).tobytes()
+
 
 class TestCirculant:
     def test_n1(self):
