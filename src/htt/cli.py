@@ -6,7 +6,7 @@
 Experiments: esd, ladder, limit, properties, equidist.  The config
 file is flat ``key = value`` text (see README); command line flags override
 it.  Exit status: 0 when every hard check passes, 1 on check failures, 2 on
-configuration errors and on runs refused mid-way (a ValueError).
+configuration errors and on runs refused mid-way (``RunRefused``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import sys
 
 from .experiments import EXPERIMENTS, load_config, run_experiment
 from .plots import emit_plots
+from .sampler import RunRefused
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     try:
         report = run_experiment(config)
-    except ValueError as exc:
+    except RunRefused as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     report.print_lines()

@@ -32,6 +32,7 @@ __all__ = [
     "sample_environment",
     "redraw_phases",
     "default_series_length",
+    "RunRefused",
 ]
 
 # Frequencies and phases are indices n of the turns n / 2**TURN_BITS.
@@ -136,6 +137,10 @@ class Environment:
         return self.gamma.shape[0]
 
 
+class RunRefused(ValueError):
+    """A valid config led to a draw beyond the float range: a refusal, not a fault."""
+
+
 def normalizer(n: int, alpha: float) -> float:
     """Scale c_n = inf{t : P(|a| >= t) <= 1/n} = n**(1/alpha) for the pure
     Pareto tail, or inf where that exceeds the float range.  Accepts any
@@ -159,7 +164,7 @@ def _scaled_entries(signs, v, n: int, c_n: float, alpha: float):
     in range, and c_n itself can overflow (inf); those entries (every entry,
     when c_n is inf) are taken as signs * (n v)**(-1/alpha) instead, which
     overflows only where the scaled entry does; an entry that overflows
-    even so raises ValueError.  v and signs are numpy arrays or scalars.
+    even so raises RunRefused.  v and signs are numpy arrays or scalars.
     """
     q = -1.0 / alpha
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,7 +173,7 @@ def _scaled_entries(signs, v, n: int, c_n: float, alpha: float):
         if np.any(redo):
             b = np.where(redo, signs * (n * v) ** q, b)
     if not np.all(np.isfinite(b)):
-        raise ValueError(f"a scaled entry at size {n} and alpha = {alpha} "
+        raise RunRefused(f"a scaled entry at size {n} and alpha = {alpha} "
                          f"exceeds the float range")
     return b
 
@@ -294,7 +299,7 @@ def _environment_from(
     seed: RngSeed, j: int, params: AlphaParams
 ) -> tuple[Environment, np.random.Generator]:
     """An environment drawn from the start of ``seed``'s stream, and the
-    generator after it.  Raises ValueError where the largest series weight
+    generator after it.  Raises RunRefused where the largest series weight
     Gamma_1**(-1/alpha) exceeds the float range: that exact value has no
     finite stand-in.  The check follows the draw, so no stream moves."""
     rng = seed.generator()
@@ -307,7 +312,7 @@ def _environment_from(
     with np.errstate(over="ignore"):
         overflow = np.isinf(gamma[0] ** (-1.0 / params.alpha))
     if overflow:
-        raise ValueError(
+        raise RunRefused(
             f"series weight Gamma_1**(-1/alpha) exceeds the float range at "
             f"alpha = {params.alpha}, stream {seed.stream}: Gamma_1 = {gamma[0]:.3g}"
         )

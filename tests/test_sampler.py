@@ -11,6 +11,7 @@ from htt.sampler import (
     TURN_BITS,
     AlphaParams,
     RngSeed,
+    RunRefused,
     _coupled_layout,
     _place_ranks,
     coupled_entry_draws,
@@ -164,7 +165,7 @@ class TestEntries:
 
     def test_entry_beyond_float_range_raises(self):
         # (1e-300)**(-100) exceeds the float range at every size
-        with pytest.raises(ValueError, match="float range"):
+        with pytest.raises(RunRefused, match="float range"):
             entries_from_uniforms([1e-300, 0.5], [1.0, 1.0], AlphaParams(0.01))
 
     def test_tail_law(self):
@@ -323,7 +324,7 @@ class TestEnvironment:
     def test_overflowing_series_weight_raises(self):
         # this stream draws Gamma_1 = 2.1e-4, so the series weight
         # Gamma_1**(-100) at alpha = 0.01 exceeds the float range
-        with pytest.raises(ValueError, match=r"alpha = 0\.01, stream 501830: Gamma_1 = 0\.00021"):
+        with pytest.raises(RunRefused, match=r"alpha = 0\.01, stream 501830: Gamma_1 = 0\.00021"):
             sample_environment(64, AlphaParams(0.01), RngSeed(20240901, 501830))
 
     def test_gamma_law_of_large_numbers(self):
