@@ -10,14 +10,10 @@ full-size run.
 
 from pathlib import Path
 
-import numpy as np
-
 from htt import RngSeed, esd, sample_entries, toeplitz_eigvalsh
-from htt.experiments import ExperimentConfig, reference_limit_measure
-from htt.metrics import levy_distance
+from htt.experiments import ExperimentConfig, limit_distances, reference_limit_measure
 from htt.plots import emit_plots
 from htt.serialize import histogram, save_histogram_csv
-from htt.spectra import PointMeasure
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -32,17 +28,16 @@ ref = reference_limit_measure(cfg)
 
 params = cfg.params()
 replicas = 10
-for i, n in enumerate(sizes):
-    locs, wts = [], []
-    for r in range(replicas):
-        entries = sample_entries(n, params, RngSeed(4).with_stream(1000 * (i + 1) + r))
-        m = esd(toeplitz_eigvalsh(entries.b))
-        locs.append(m.locations)
-        wts.append(m.weights / replicas)
-    pooled = PointMeasure.from_atoms(np.concatenate(locs), np.concatenate(wts))
-    print(f"n = {n:5d}: levy distance to the limit estimate "
-          f"{levy_distance(pooled, ref):.4f}")
-    edges, masses = histogram(pooled, bins=60)
+per_size = {
+    n: [esd(toeplitz_eigvalsh(sample_entries(n, params, RngSeed(4, 1000 * (i + 1) + r)).b))
+        for r in range(replicas)]
+    for i, n in enumerate(sizes)
+}
+# htt limit's reduction: pool each size's ESDs, Levy distance to the estimate
+pooled, distances = limit_distances(per_size, ref)
+for n, d in distances.items():
+    print(f"n = {n:5d}: levy distance to the limit estimate {d:.4f}")
+    edges, masses = histogram(pooled[n], bins=60)
     save_histogram_csv(OUT / f"demo_esd_n{n}.csv", edges, masses)
 
 edges, masses = histogram(ref, bins=60)

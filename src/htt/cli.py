@@ -6,7 +6,7 @@
 Experiments: esd, ladder, limit, properties, equidist.  The config
 file is flat ``key = value`` text (see README); command line flags override
 it.  Exit status: 0 when every hard check passes, 1 on check failures, 2 on
-configuration errors and on runs refused mid-way (``RunRefused``).
+configuration errors (an unusable ``--out`` too) and refused runs (``RunRefused``).
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ adds a JSON report whose config hash and seed reproduce bit-identical
 numerical output at the same BLAS thread count, which the report's
 ``blas_env`` records.
 
+A runner does all of its per-stream work first and only then creates its
+output directory and writes, so a refused run (``RunRefused``) leaves none.
+
 Every draw uses the base seed and a stream of its own from the stream
 table ``_stream_blocks``, except the interlacing wraps: they share replica
 0's entry stream, a collision pinned by a strict xfail in the tests until
@@ -51,11 +54,7 @@ from .sampler import (
     sample_entries,
     sample_environment,
 )
-from .serialize import (
-    histogram,
-    save_histogram_csv,
-    save_measure_csv,
-)
+from .serialize import histogram, save_histogram_csv, save_measure_csv
 from .spectra import (
     PointMeasure,
     esd,
@@ -78,6 +77,7 @@ __all__ = [
     "ladder_distances",
     "run_truncation_ladder",
     "reference_limit_measure",
+    "limit_distances",
     "run_limit_convergence",
     "interlacing_violation",
     "run_property_suite",
@@ -238,6 +238,10 @@ class ExperimentConfig:
                 raise ValueError(f"tol_{name} must be a number, got {value!r}")
             if name == "equidist_level" and not 0 < value < 1:
                 raise ValueError(f"tol_equidist_level must lie in (0, 1), got {value!r}")
+        # runs write last, so an out_dir that cannot be made fails here, not after the run
+        out = Path(self.out_dir)
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ValueError(f"out_dir {str(out)!r} is not a directory, or lies under a file")
 
     def params(self) -> AlphaParams:
         return AlphaParams(self.alpha, self.p)
@@ -452,6 +456,15 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _save_with_histogram(out: Path, name: str, hist_name: str, m: PointMeasure,
+                         bins: int | None) -> np.ndarray:
+    """Write m to out/name and its histogram to out/hist_name; return the masses."""
+    save_measure_csv(out / name, m)
+    edges, masses = histogram(m, bins)
+    save_histogram_csv(out / hist_name, edges, masses)
+    return masses
+
+
 # ---------------------------------------------------------------------------
 # esd
 
@@ -470,28 +483,26 @@ def corner_embedding_deviation(entries) -> tuple[float, float]:
     return float(np.abs(lhs - rhs).max()), float(np.abs(d).max())
 
 
+def _esd_replica(config: ExperimentConfig, n: int, stream: int):
+    """One esd replica: the ESD of the size-n draw on ``stream``, and at
+    n <= 64 its corner-identity (deviation, S), else None."""
+    entries = sample_entries(n, config.params(), config.base_seed().with_stream(stream))
+    return (esd(toeplitz_eigvalsh(entries.b)),
+            corner_embedding_deviation(entries) if n <= 64 else None)
+
+
 def run_esd(config: ExperimentConfig) -> Report:
     """Sample Toeplitz replicas, write per-replica and pooled spectra, and
     verify the exact corner-embedding identity at small sizes."""
+    per_size = {n: list(zip(*(_esd_replica(config, n, stream) for stream in block)))
+                for n, block in zip(config.n_list, _stream_blocks(config).values())}
     report = _new_report(config)
     out = _out_dir(config)
-    params = config.params()
-    seed = config.base_seed()
-    for n, block in zip(config.n_list, _stream_blocks(config).values()):
-        measures = []
-        worst_dev = scale = 0.0
-        for r, stream in enumerate(block):
-            entries = sample_entries(n, params, seed.with_stream(stream))
-            m = esd(toeplitz_eigvalsh(entries.b))
-            measures.append(m)
+    for n, (measures, corners) in per_size.items():
+        for r, m in enumerate(measures):
             save_measure_csv(out / f"esd_n{n}_r{r}.csv", m)
-            if n <= 64:
-                dev, s = corner_embedding_deviation(entries)
-                worst_dev, scale = max(worst_dev, dev), max(scale, s)
-        pooled = PointMeasure.pooled(measures)
-        save_measure_csv(out / f"esd_n{n}_pooled.csv", pooled)
-        edges, masses = histogram(pooled, config.bins)
-        save_histogram_csv(out / f"esd_n{n}_hist.csv", edges, masses)
+        masses = _save_with_histogram(out, f"esd_n{n}_pooled.csv", f"esd_n{n}_hist.csv",
+                                      PointMeasure.pooled(measures), config.bins)
         report.check(
             f"histogram_mass_n{n}",
             abs(masses.sum() - 1.0),
@@ -499,10 +510,11 @@ def run_esd(config: ExperimentConfig) -> Report:
             "plumbing",
         )
         if n <= 64:
+            devs, scales = zip(*corners)
             report.check(
                 f"corner_identity_n{n}",
-                worst_dev,
-                config.tol("esd_identity") * max(1.0, scale),
+                max(0.0, *devs),
+                config.tol("esd_identity") * max(1.0, *scales),
                 "spectrum of [[T,0],[0,0]] equals spectrum of P D P exactly",
             )
         else:
@@ -553,7 +565,6 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     symbols of size n_i, built once per (n, l); rows are written in
     (n, l, r) order."""
     report = _new_report(config)
-    out = _out_dir(config)
     params = config.params()
     seed = config.base_seed()
     if config.replicas < 5:
@@ -563,18 +574,16 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     l_list = sorted(config.l_list)
     levels_seq = [config.levels_for(l) for l in l_list]
     totals = {}
-    with open(out / "ladder.csv", "w") as fh:
-        fh.write("n,l,m,k,replica,d_clip,d_band,d_topk\n")
-        for n, block in zip(n_list, _stream_blocks(config).values()):
-            rungs = [(levels, projection_symbol(n, levels.l)) for levels in levels_seq]
-            per_replica = []
-            for stream in block:
-                entries = sample_entries(n, params, seed.with_stream(stream))
-                per_replica.append(ladder_distances(entries, rungs))
-            for l, levels, rows in zip(l_list, levels_seq, zip(*per_replica)):
-                for r, (d1, d2, d3) in enumerate(rows):
-                    fh.write(f"{n},{l},{levels.m!r},{levels.k},{r},{d1!r},{d2!r},{d3!r}\n")
-                totals[(n, l)] = float(np.mean(rows, axis=0).sum())
+    lines = ["n,l,m,k,replica,d_clip,d_band,d_topk\n"]
+    for n, block in zip(n_list, _stream_blocks(config).values()):
+        rungs = [(levels, projection_symbol(n, levels.l)) for levels in levels_seq]
+        per_replica = [ladder_distances(sample_entries(n, params, seed.with_stream(stream)), rungs)
+                       for stream in block]
+        for l, levels, rows in zip(l_list, levels_seq, zip(*per_replica)):
+            lines += [f"{n},{l},{levels.m!r},{levels.k},{r},{d1!r},{d2!r},{d3!r}\n"
+                      for r, (d1, d2, d3) in enumerate(rows)]
+            totals[(n, l)] = float(np.mean(rows, axis=0).sum())
+    (_out_dir(config) / "ladder.csv").write_text("".join(lines))
     n_top = n_list[-1]
     final = totals[(n_top, l_list[-1])]
     report.check(
@@ -613,22 +622,28 @@ def reference_limit_measure(config: ExperimentConfig) -> PointMeasure:
     )
 
 
-def _nested_entry_draws(n_list, params: AlphaParams, seed: RngSeed) -> dict:
-    """One master draw at the largest size; smaller sizes use prefixes.
-
-    Each prefix is exactly an i.i.d. sample of its own size (the marginal
-    law per size is untouched).  Prefixes do not share the dominant
-    entries, though: the largest entry at size n_max lies in the size-n
-    prefix with probability only n / n_max.  Those few largest entries
-    (their sizes, relative positions and signs) set a replica's random
-    limit, so prefix coupling does not cancel replica noise between sizes;
-    :func:`htt.sampler.coupled_entry_draws` shares them.
-    """
-    rng = seed.generator()
-    n_max = max(n_list)
+def _limit_replica(config: ExperimentConfig, stream: int) -> list:
+    """One limit replica: the ESDs, in size order, of one master draw on
+    ``stream`` at the largest size, each smaller size taking its prefix,
+    an exact i.i.d. sample of that size."""
+    params = config.params()
+    rng = config.base_seed().with_stream(stream).generator()
+    n_max = max(config.n_list)
     v = 1.0 - rng.random(n_max)
     signs = np.where(rng.random(n_max) < params.p, 1.0, -1.0)
-    return {n: entries_from_uniforms(v[:n], signs[:n], params) for n in n_list}
+    # Dense solve: the recorded `htt limit` outputs carry its rounding, and
+    # toeplitz_eigvalsh's moves one pooled mean, 1.6e-5 from atoms of 1.8e6,
+    # by 1.7e-11.  Switch when those outputs are re-recorded (ROADMAP item 1).
+    return [esd(np.linalg.eigvalsh(build_toeplitz(entries_from_uniforms(v[:n], signs[:n], params))))
+            for n in sorted(config.n_list)]
+
+
+def limit_distances(per_size: dict, ref: PointMeasure) -> tuple[dict, dict]:
+    """The limit reduction: pool each size's ESDs (``PointMeasure.pooled``)
+    and take the pool's Levy distance to the limit estimate ``ref``; returns
+    the pooled measures and the distances, keyed by size as ``per_size``."""
+    pooled = {n: PointMeasure.pooled(measures) for n, measures in per_size.items()}
+    return pooled, {n: levy_distance(m, ref) for n, m in pooled.items()}
 
 
 def run_limit_convergence(config: ExperimentConfig) -> Report:
@@ -640,63 +655,43 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
     a trend check: the annealed (expected-measure) distance is the implied,
     testable weakening.  Replicas are coupled across sizes by nested entry
     prefixes, which leaves every pooled ESD's law unchanged but does not
-    share the few largest entries that set each replica's random limit, so
-    most replica noise survives the size-to-size comparison; at 20
-    replicas it can exceed the trend slack (see _nested_entry_draws).
+    share the few largest entries that set each replica's random limit (the
+    largest at size n_max lies in the size-n prefix with probability only
+    n / n_max), so most replica noise survives the size-to-size comparison;
+    at 20 replicas it can exceed the trend slack.
+    :func:`htt.sampler.coupled_entry_draws` shares those entries.
     """
+    ref = reference_limit_measure(config)
+    replicas = [_limit_replica(config, stream) for stream in _stream_blocks(config)["replicas"]]
+    n_list = sorted(config.n_list)
+    pooled, distances = limit_distances(dict(zip(n_list, zip(*replicas))), ref)
     report = _new_report(config)
     out = _out_dir(config)
-    params = config.params()
-    seed = config.base_seed()
-    ref = reference_limit_measure(config)
-    save_measure_csv(out / "limit_reference.csv", ref)
-    ref_edges, ref_masses = histogram(ref, config.bins)
-    save_histogram_csv(out / "limit_reference_hist.csv", ref_edges, ref_masses)
-
-    n_list = sorted(config.n_list)
-    per_size = {n: [] for n in n_list}
-    for stream in _stream_blocks(config)["replicas"]:
-        draws = _nested_entry_draws(n_list, params, seed.with_stream(stream))
-        for n, entries in draws.items():
-            # Dense solve: the recorded outputs of `htt limit`
-            # (benchmarks/goldens/limit-w512.json) carry its rounding, and in
-            # one case a pooled mean cancels atoms of 1.8e6 down to 1.6e-5,
-            # which toeplitz_eigvalsh's rounding moves by 1.7e-11.  Switch
-            # when those outputs are re-recorded (ROADMAP item 1).
-            per_size[n].append(esd(np.linalg.eigvalsh(build_toeplitz(entries))))
-
-    distances = []
-    pooled_first = None
-    for n in n_list:
-        pooled = PointMeasure.pooled(per_size[n])
-        if pooled_first is None:
-            pooled_first = pooled
-        save_measure_csv(out / f"limit_esd_n{n}.csv", pooled)
-        edges, masses = histogram(pooled, config.bins)
-        save_histogram_csv(out / f"limit_esd_n{n}_hist.csv", edges, masses)
-        distances.append((n, levy_distance(pooled, ref)))
-
-    for (n_prev, d_prev), (n_next, d_next) in zip(distances, distances[1:]):
+    _save_with_histogram(out, "limit_reference.csv", "limit_reference_hist.csv", ref, config.bins)
+    for n, m in pooled.items():
+        _save_with_histogram(out, f"limit_esd_n{n}.csv", f"limit_esd_n{n}_hist.csv", m, config.bins)
+    for n_prev, n_next in zip(n_list, n_list[1:]):
         report.check(
             f"limit_distance_decrease_n{n_prev}_to_n{n_next}",
-            d_next - d_prev,
+            distances[n_next] - distances[n_prev],
             config.tol("limit_trend_slack"),
             "ESDs converge weakly to the limiting measure as the size grows",
         )
+    first = pooled[n_list[0]]
     report.check(
         "self_distance",
-        levy_distance(pooled_first, pooled_first),
+        levy_distance(first, first),
         0.0,
         "plumbing",
     )
     report.check(
         "reflection_invariance",
-        abs(distances[0][1] - levy_distance(pooled_first, ref.reflected())),
+        abs(distances[n_list[0]] - levy_distance(first, ref.reflected())),
         config.tol("reflection_invariance"),
         "the limit estimate is symmetric around 0, so reflecting it leaves "
         "distances unchanged",
     )
-    for n, d in distances:
+    for n, d in distances.items():
         report.note(f"levy distance at n={n}: {d:.6f}")
     return report
 
@@ -705,15 +700,17 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
 # property suite
 
 
-def interlacing_violation(entries, rng: np.random.Generator) -> tuple[float, float]:
+def interlacing_violation(entries, uniforms) -> tuple[float, float]:
     """Worst signed violation of the interlacing of Toeplitz eigenvalues
     between circulant eigenvalues g (negative means satisfied), with an
-    independent-copy wrap entry, and S = max |g|.  The wrap is scaled like
-    the entries, on the same overflow guard."""
-    sign = np.where(rng.random() < entries.p, 1.0, -1.0)
+    independent-copy wrap entry, and S = max |g|.  The wrap is drawn from
+    ``uniforms``, a pair of U[0, 1) draws for its sign and its magnitude,
+    and scaled like the entries, on the same overflow guard."""
+    u_sign, u = uniforms
+    sign = np.where(u_sign < entries.p, 1.0, -1.0)
     # numpy's scalar power is libm's pow, as Python's float power is; an
     # array power may round differently
-    v = np.float64(1.0 - rng.random())
+    v = np.float64(1.0 - u)
     wrap = float(_scaled_entries(sign, v, len(entries), entries.c_n, entries.alpha))
     g = np.sort(circulant_eigs(entries, wrap))
     t = toeplitz_eigvalsh(entries.b)
@@ -728,7 +725,6 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     the quenched subgaussian MGF bound, the bounded-support radius below
     tail index 1, support growth above it, and eigenvalue interlacing."""
     report = _new_report(config)
-    out = _out_dir(config)
     seed = config.base_seed()
     streams = _stream_blocks(config)
     tol = config.tol
@@ -747,7 +743,6 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         symmetrize=False,
         workers=config.threads,
     )
-    save_measure_csv(out / "properties_raw_measure.csv", raw)
     sym = raw.mirrored()
     sym_stat = max(
         abs(sym.cdf(-x) - (1.0 - sym.cdf(x, side="left"))) for x in (0.5, 1.0, 2.0)
@@ -849,12 +844,13 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     # interlacing with the independent wrap entry
     n_inter = min(128, max(config.n_list))
     worst, scale = -math.inf, 0.0
-    # the wraps' stream is also replica 0's entry stream: the known
-    # collision, mended with the golden re-record (ROADMAP item 1)
-    rng = seed.with_stream(streams["interlacing"].start).generator()
-    for stream in streams["interlacing"]:
+    # each wrap's (sign, magnitude) uniforms, drawn up front; their stream is
+    # also replica 0's entry stream, the known collision (ROADMAP item 1)
+    wraps = seed.with_stream(streams["interlacing"].start).generator().random(
+        (len(streams["interlacing"]), 2))
+    for stream, uniforms in zip(streams["interlacing"], wraps):
         entries = sample_entries(n_inter, config.params(), seed.with_stream(stream))
-        violation, s = interlacing_violation(entries, rng)
+        violation, s = interlacing_violation(entries, uniforms)
         worst, scale = max(worst, violation), max(scale, s)
     report.check(
         "interlacing",
@@ -863,6 +859,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         "Toeplitz eigenvalues interlace between the circulant embedding's "
         "eigenvalues (principal submatrix)",
     )
+    save_measure_csv(_out_dir(config) / "properties_raw_measure.csv", raw)
     return report
 
 
@@ -967,7 +964,6 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
     the rescaled products should look jointly uniform.  Reports per-coordinate
     KS statistics against U[0,1) plus pairwise indicator-bin correlations."""
     report = _new_report(config)
-    out = _out_dir(config)
     k = config.top_coords
     n = max(config.n_list)
     params = config.params()
@@ -1013,7 +1009,7 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         f"{_max_bin_correlation(coords):.4f} "
         f"(rough 4-sigma reference: {4.0 / math.sqrt(config.replicas):.4f})"
     )
-    np.savetxt(out / "equidist_coords.csv", coords, delimiter=",",
+    np.savetxt(_out_dir(config) / "equidist_coords.csv", coords, delimiter=",",
                header=",".join(f"coord{i}" for i in range(k)), comments="")
     return report
 

@@ -15,6 +15,7 @@ from htt.experiments import (
     ExperimentConfig,
     _stream_blocks,
     corner_embedding_deviation,
+    limit_distances,
     reference_limit_measure,
     run_equidistribution,
 )
@@ -224,14 +225,8 @@ def test_criterion_09_limit_convergence():
         draws = coupled_entry_draws(n_list, cfg.params(), RngSeed(SEED, stream))
         for n, entries in draws.items():
             per_size[n].append(esd(toeplitz_eigvalsh(entries.b)))
-    pooled = {
-        n: PointMeasure.from_atoms(
-            np.concatenate([m.locations for m in ms]),
-            np.concatenate([m.weights / replicas for m in ms]),
-        )
-        for n, ms in per_size.items()
-    }
-    distances = [levy_distance(pooled[n], ref) for n in n_list]
+    # htt limit's own reduction: pool each size, Levy distance to the reference
+    distances = list(limit_distances(per_size, ref)[1].values())
     dt = time.perf_counter() - t0
     # diagnostic: did the replicas move together from size to size?
     medians = [float(np.median([levy_distance(m, ref) for m in per_size[n]]))

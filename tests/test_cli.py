@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import htt
+import htt.cli
 from htt import experiments
 from htt.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
 from htt.matrices import _hankel, _split_eigvalsh, _toeplitz_view
@@ -226,6 +227,24 @@ def test_run_refused_mid_way_exits_2_without_traceback(tmp_path):
     assert proc.stderr.startswith("run error: ")
     assert "alpha = 0.01" in proc.stderr and "stream 500000" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # a run writes only after its draws, so the refused one leaves nothing
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_exits_before_any_draw(tmp_path, monkeypatch, capsys, under):
+    # an out_dir that cannot be a directory is a config error, caught before
+    # the run instead of after all of its draws, in the CLI and the library
+    monkeypatch.setattr(htt.cli, "run_experiment", lambda config: pytest.fail("run started"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if under else blocker
+    assert main(["esd", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
+    with pytest.raises(ValueError, match="out_dir"):
+        experiments.ExperimentConfig(experiment="esd", out_dir=str(out))
 
 
 def test_fault_mid_run_keeps_its_traceback(tmp_path):

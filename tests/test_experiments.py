@@ -44,7 +44,7 @@ from htt.matrices import (
 from htt.metrics import levy_distance
 from htt.sampler import AlphaParams, RngSeed, default_series_length, sample_entries
 from htt.serialize import load_measure_csv
-from htt.spectra import esd, quenched_sub_measure
+from htt.spectra import PointMeasure, _limit_measure_replica, esd, quenched_sub_measure
 
 
 class TestConfigParsing:
@@ -467,7 +467,7 @@ class TestInterlacing:
     def test_matches_dense_spectra(self):
         for n in (32, 33):
             entries = sample_entries(n, AlphaParams(0.7, 0.4), RngSeed(21))
-            got, scale = interlacing_violation(entries, np.random.default_rng(5))
+            got, scale = interlacing_violation(entries, np.random.default_rng(5).random(2))
             # the same wrap entry, then dense Toeplitz and 2N circulant solves
             rng = np.random.default_rng(5)
             sign = 1.0 if rng.random() < entries.p else -1.0
@@ -495,7 +495,7 @@ class TestInterlacing:
             return circulant_eigs(entries, wrap)
 
         monkeypatch.setattr(experiments, "circulant_eigs", recording_eigs)
-        violation, scale = interlacing_violation(entries, np.random.default_rng(852))
+        violation, scale = interlacing_violation(entries, np.random.default_rng(852).random(2))
         assert math.isfinite(violation) and math.isfinite(scale)
         assert abs(wraps[0]) == pytest.approx((128 * v) ** -100.0, rel=1e-13)
 
@@ -534,7 +534,7 @@ class TestIdentityScale:
         entries, other = (sample_entries(128, params, RngSeed(14, s)) for s in (0, 1))
         monkeypatch.setattr("htt.experiments.toeplitz_eigvalsh",
                             lambda b: toeplitz_eigvalsh(other.b))
-        violation, scale = interlacing_violation(entries, np.random.default_rng(5))
+        violation, scale = interlacing_violation(entries, np.random.default_rng(5).random(2))
         assert violation > DEFAULT_TOLERANCES["interlacing"] * max(1.0, scale)
 
 
@@ -650,7 +650,7 @@ class TestEquidistRun:
         assert (tmp_path / "equidist_coords.csv").exists()
 
 
-# One small run per experiment, for the stream-table test
+# One small run per experiment, for the stream-table and stream-order tests
 _TOY_RUNS = {
     "esd": dict(n_list=(8, 16), replicas=3),
     "ladder": dict(n_list=(8, 16), l_list=(2, 4), replicas=5),
@@ -685,6 +685,43 @@ def test_every_draw_has_a_stream_of_its_own(tmp_path, monkeypatch, experiment):
     assert seen and {seed for seed, _ in seen} == {3}
     assert all(any(s in b for b in blocks) for _, s in seen)
     assert len(set(seen)) == len(seen)
+
+
+def _bits(result):
+    """The exact bits of a per-stream result: measures, floats, None and
+    sequences of them."""
+    if isinstance(result, PointMeasure):
+        return tuple(None if a is None else a.tobytes()
+                     for a in (result.locations, result.weights, result.replica_ids))
+    if isinstance(result, (tuple, list)):
+        return tuple(_bits(x) for x in result)
+    return None if result is None else float(result).hex()
+
+
+def test_per_stream_work_is_order_free():
+    # each stream's computation depends on its own inputs alone, so the
+    # streams can run in any order, as a worker pool would run them
+    esd_cfg = ExperimentConfig(experiment="esd", seed=3, **_TOY_RUNS["esd"])
+    limit_cfg = ExperimentConfig(experiment="limit", seed=3, **_TOY_RUNS["limit"])
+    props_cfg = ExperimentConfig(experiment="properties", seed=3, **_TOY_RUNS["properties"])
+    esd_blocks = zip(esd_cfg.n_list, _stream_blocks(esd_cfg).values())
+    limit_blocks = _stream_blocks(limit_cfg)
+    ref_levels = limit_cfg.with_explicit_levels(limit_cfg.window_levels())
+    interlacing = _stream_blocks(props_cfg)["interlacing"]
+    wraps = RngSeed(3, interlacing.start).generator().random((len(interlacing), 2))
+    runs = [
+        (experiments._esd_replica, [(esd_cfg, n, s) for n, block in esd_blocks for s in block]),
+        (experiments._limit_replica, [(limit_cfg, s) for s in limit_blocks["replicas"]]),
+        (_limit_measure_replica, [(limit_cfg.params(), ref_levels, limit_cfg.inner,
+                                   RngSeed(3, s), True) for s in limit_blocks["reference"]]),
+        (interlacing_violation, [(sample_entries(16, props_cfg.params(), RngSeed(3, s)), u)
+                                 for s, u in zip(interlacing, wraps)]),
+    ]
+    for task, inputs in runs:
+        forward = [task(*x) for x in inputs]
+        backward = [task(*x) for x in reversed(inputs)][::-1]
+        assert len(forward) > 1
+        assert _bits(forward) == _bits(backward), task.__name__
 
 
 class TestDispatch:
