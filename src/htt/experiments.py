@@ -48,7 +48,9 @@ from .metrics import levy_distance, mgf, subgaussian_bound, support_bound
 from .sampler import (
     AlphaParams,
     RngSeed,
+    _entry_uniforms,
     _scaled_entries,
+    _signs,
     default_series_length,
     entries_from_uniforms,
     sample_entries,
@@ -209,6 +211,11 @@ class ExperimentConfig:
             raise ValueError(f"top_coords must lie in [1, 8], got {self.top_coords!r}")
         if self.experiment == "limit" and len(self.n_list) < 3:
             raise ValueError("limit convergence needs at least 3 sizes")
+        if self.experiment == "properties":
+            for key in ("m", "k"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"properties does not read {key}, "
+                                     f"set to {getattr(self, key)!r}")
         if self.m is not None and not (isinstance(self.m, numbers.Real)
                                        and not isinstance(self.m, bool) and self.m > 0):
             raise ValueError(f"m must be positive, got {self.m!r}")
@@ -239,6 +246,8 @@ class ExperimentConfig:
             if name == "equidist_level" and not 0 < value < 1:
                 raise ValueError(f"tol_equidist_level must lie in (0, 1), got {value!r}")
         # runs write last, so an out_dir that cannot be made fails here, not after the run
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         out = Path(self.out_dir)
         if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
             raise ValueError(f"out_dir {str(out)!r} is not a directory, or lies under a file")
@@ -628,9 +637,7 @@ def _limit_replica(config: ExperimentConfig, stream: int) -> list:
     an exact i.i.d. sample of that size."""
     params = config.params()
     rng = config.base_seed().with_stream(stream).generator()
-    n_max = max(config.n_list)
-    v = 1.0 - rng.random(n_max)
-    signs = np.where(rng.random(n_max) < params.p, 1.0, -1.0)
+    v, signs = _entry_uniforms(rng, max(config.n_list), params.p)
     # Dense solve: the recorded `htt limit` outputs carry its rounding, and
     # toeplitz_eigvalsh's moves one pooled mean, 1.6e-5 from atoms of 1.8e6,
     # by 1.7e-11.  Switch when those outputs are re-recorded (ROADMAP item 1).
@@ -707,7 +714,7 @@ def interlacing_violation(entries, uniforms) -> tuple[float, float]:
     ``uniforms``, a pair of U[0, 1) draws for its sign and its magnitude,
     and scaled like the entries, on the same overflow guard."""
     u_sign, u = uniforms
-    sign = np.where(u_sign < entries.p, 1.0, -1.0)
+    sign = _signs(u_sign, entries.p)
     # numpy's scalar power is libm's pow, as Python's float power is; an
     # array power may round differently
     v = np.float64(1.0 - u)
@@ -720,20 +727,45 @@ def interlacing_violation(entries, uniforms) -> tuple[float, float]:
     return float(max(lower, upper)), float(max(-g[0], g[-1]))
 
 
+def _top_eigenvalue(env, levels: TruncationLevels) -> float:
+    """Largest |eigenvalue| of the environment's operator window at levels."""
+    return float(np.abs(np.linalg.eigvalsh(operator_window(env, levels).matrix)).max())
+
+
+def _mgf_passes(levels: TruncationLevels, params: AlphaParams, seed: RngSeed,
+                slack: float) -> dict:
+    """By beta, whether one environment's mirrored window measure has its
+    MGF within slack times the subgaussian bound."""
+    env = sample_environment(levels.j, params, seed)
+    sym = window_measure(env, levels).mirrored()
+    return {beta: mgf(sym, beta) <= slack * subgaussian_bound(env, beta) for beta in (0.5, 1.0)}
+
+
+def _support_check(levels: TruncationLevels, params: AlphaParams, seed: RngSeed):
+    """(top |eigenvalue|, support radius) of one environment's window."""
+    env = sample_environment(levels.j, params, seed)
+    return _top_eigenvalue(env, levels), support_bound(env)
+
+
+def _growth_tops(levels_seq, params: AlphaParams, seed: RngSeed) -> list:
+    """The top |eigenvalue| at each levels of levels_seq of one environment,
+    drawn once, at series length levels_seq[-1].j."""
+    env = sample_environment(levels_seq[-1].j, params, seed)
+    return [_top_eigenvalue(env, levels) for levels in levels_seq]
+
+
 def run_property_suite(config: ExperimentConfig) -> Report:
     """Statistical checks of the limiting measure's properties: symmetry,
     the quenched subgaussian MGF bound, the bounded-support radius below
     tail index 1, support growth above it, and eigenvalue interlacing."""
-    report = _new_report(config)
     seed = config.base_seed()
     streams = _stream_blocks(config)
     tol = config.tol
-
-    # (a) annealed symmetry: the default (antithetic) estimate satisfies the
-    # CDF mirror identity outright; the raw estimate's asymmetry must be
-    # statistically consistent with zero (4 standard errors over replicas)
     params = config.params()
     levels = config.window_levels()
+    a_params = {alpha: AlphaParams(alpha, config.p) for alpha in (0.5, 1.5)}
+    a_series = {alpha: default_series_length(alpha) for alpha in (0.5, 1.5)}
+    # (a) the raw (not antithetic) annealed estimate
     raw = mc_limit_measure(
         params,
         levels,
@@ -743,6 +775,42 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         symmetrize=False,
         workers=config.threads,
     )
+    # (b) quenched MGF per environment, with the full series of each alpha
+    mgf_passes = {alpha: [_mgf_passes(replace(levels, k=j, j=j), a_params[alpha],
+                                      seed.with_stream(stream), tol("mgf_slack"))
+                          for stream in streams[f"mgf_alpha{alpha}"]]
+                  for alpha, j in a_series.items()}
+    # (c) bounded support below tail index 1: coupled truncation levels,
+    # band 64 unless set, capped at the window's reach
+    c_band = config.l if config.l is not None else min(64, 2 * levels.w)
+    c_levels = TruncationLevels.coupled(c_band, w=levels.w, j=a_series[0.5])
+    support = [_support_check(c_levels, a_params[0.5], seed.with_stream(stream))
+               for stream in streams["support"]]
+    # (d) support growth above tail index 1: top window eigenvalue against
+    # the series length, in a window of half-width at most 128
+    k_list = (64, 512, 4096)
+    g_w = min(levels.w, 128)
+    g_levels = [
+        replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
+        for k_terms in k_list
+    ]
+    growth = [_growth_tops(g_levels, a_params[1.5], seed.with_stream(stream))
+              for stream in streams["growth"]]
+    # interlacing with an independent wrap entry, each wrap's (sign,
+    # magnitude) uniforms drawn up front; their stream is also replica 0's
+    # entry stream, the known collision (ROADMAP item 1)
+    n_inter = min(128, max(config.n_list))
+    wraps = seed.with_stream(streams["interlacing"].start).generator().random(
+        (len(streams["interlacing"]), 2))
+    interlacing = [
+        interlacing_violation(sample_entries(n_inter, params, seed.with_stream(stream)), u)
+        for stream, u in zip(streams["interlacing"], wraps)
+    ]
+
+    report = _new_report(config)
+    # (a) the antithetic estimate satisfies the CDF mirror identity outright;
+    # the raw estimate's asymmetry must be statistically consistent with
+    # zero (4 standard errors over replicas)
     sym = raw.mirrored()
     sym_stat = max(
         abs(sym.cdf(-x) - (1.0 - sym.cdf(x, side="left"))) for x in (0.5, 1.0, 2.0)
@@ -766,71 +834,18 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         4.0,
         "raw pooled CDF asymmetry is consistent with zero within MC error",
     )
-
-    # (b) quenched MGF vs the subgaussian bound, per environment
-    for alpha in (0.5, 1.5):
-        a_params = AlphaParams(alpha, config.p)
-        a_j = default_series_length(alpha)
-        a_levels = replace(levels, k=a_j, j=a_j)
-        block = streams[f"mgf_alpha{alpha}"]
-        frac_pass = {0.5: 0, 1.0: 0}
-        for stream in block:
-            env = sample_environment(a_j, a_params, seed.with_stream(stream))
-            sym = window_measure(env, a_levels).mirrored()
-            for beta in (0.5, 1.0):
-                bound = subgaussian_bound(env, beta)
-                if mgf(sym, beta) <= tol("mgf_slack") * bound:
-                    frac_pass[beta] += 1
-        for beta in (0.5, 1.0):
-            report.check(
-                f"mgf_subgaussian_alpha{alpha}_beta{beta}",
-                frac_pass[beta] / len(block),
-                tol("mgf_pass_fraction"),
-                "quenched MGF is at most 2 exp(2 b^2 sum gamma_j^(-2/alpha))",
-                direction=">=",
-            )
-
-    # (c) bounded support below tail index 1: coupled truncation levels,
-    # band 64 unless set, capped at the window's reach
-    a_params = AlphaParams(0.5, config.p)
-    a_j = default_series_length(0.5)
-    c_band = config.l if config.l is not None else min(64, 2 * levels.w)
-    c_levels = TruncationLevels.coupled(c_band, w=levels.w, j=a_j)
-    violations = 0
-    worst_ratio = 0.0
-    for stream in streams["support"]:
-        env = sample_environment(a_j, a_params, seed.with_stream(stream))
-        window = operator_window(env, c_levels)
-        radius = support_bound(env)
-        top = float(np.abs(np.linalg.eigvalsh(window.matrix)).max())
-        worst_ratio = max(worst_ratio, top / radius)
-        if top > radius:
-            violations += 1
-    report.check(
-        "support_bound_violations",
-        violations,
-        tol("support_violations"),
-        "window spectrum stays inside +-2 sum gamma_j^(-1/alpha) for alpha < 1",
-    )
+    for alpha, passes in mgf_passes.items():
+        for beta in passes[0]:
+            report.check(f"mgf_subgaussian_alpha{alpha}_beta{beta}",
+                         sum(p[beta] for p in passes) / len(passes), tol("mgf_pass_fraction"),
+                         "quenched MGF is at most 2 exp(2 b^2 sum gamma_j^(-2/alpha))",
+                         direction=">=")
+    report.check("support_bound_violations", sum(top > radius for top, radius in support),
+                 tol("support_violations"),
+                 "window spectrum stays inside +-2 sum gamma_j^(-1/alpha) for alpha < 1")
+    worst_ratio = max(0.0, *(top / radius for top, radius in support))
     report.note(f"support check worst |eig|/radius ratio: {worst_ratio:.4f}")
-
-    # (d) support growth above tail index 1: top window eigenvalue grows
-    # with the series length, in a window of half-width at most 128
-    a_params = AlphaParams(1.5, config.p)
-    k_list = (64, 512, 4096)
-    g_w = min(levels.w, 128)
-    g_levels = [
-        replace(levels, k=k_terms, l=min(levels.l, 2 * g_w), w=g_w, j=k_list[-1])
-        for k_terms in k_list
-    ]
-    # each environment is drawn once and read at every series length
-    tops = [[] for _ in k_list]
-    for stream in streams["growth"]:
-        env = sample_environment(k_list[-1], a_params, seed.with_stream(stream))
-        for lv, lv_tops in zip(g_levels, tops):
-            window = operator_window(env, lv)
-            lv_tops.append(np.abs(np.linalg.eigvalsh(window.matrix)).max())
-    g_means = [float(np.mean(t)) for t in tops]
+    g_means = [float(np.mean(tops)) for tops in zip(*growth)]
     for a, b in zip(g_means, g_means[1:]):
         report.check(
             "support_growth",
@@ -840,25 +855,10 @@ def run_property_suite(config: ExperimentConfig) -> Report:
             "for tail index >= 1: top eigenvalue grows with series length",
         )
     report.note(f"support growth means over series lengths {k_list}: {g_means}")
-
-    # interlacing with the independent wrap entry
-    n_inter = min(128, max(config.n_list))
-    worst, scale = -math.inf, 0.0
-    # each wrap's (sign, magnitude) uniforms, drawn up front; their stream is
-    # also replica 0's entry stream, the known collision (ROADMAP item 1)
-    wraps = seed.with_stream(streams["interlacing"].start).generator().random(
-        (len(streams["interlacing"]), 2))
-    for stream, uniforms in zip(streams["interlacing"], wraps):
-        entries = sample_entries(n_inter, config.params(), seed.with_stream(stream))
-        violation, s = interlacing_violation(entries, uniforms)
-        worst, scale = max(worst, violation), max(scale, s)
-    report.check(
-        "interlacing",
-        worst,
-        tol("interlacing") * max(1.0, scale),
-        "Toeplitz eigenvalues interlace between the circulant embedding's "
-        "eigenvalues (principal submatrix)",
-    )
+    violations, scales = zip(*interlacing)
+    report.check("interlacing", max(violations), tol("interlacing") * max(1.0, *scales),
+                 "Toeplitz eigenvalues interlace between the circulant embedding's "
+                 "eigenvalues (principal submatrix)")
     save_measure_csv(_out_dir(config) / "properties_raw_measure.csv", raw)
     return report
 
@@ -959,6 +959,16 @@ def _max_bin_correlation(coords: np.ndarray) -> float:
     return float(np.abs(np.corrcoef(indicators[varies])[pairs]).max())
 
 
+def _equidist_row(n: int, k: int, params: AlphaParams, seed: RngSeed,
+                  dilation_seed: RngSeed) -> np.ndarray:
+    """One replica's coordinates: the positions of the k largest entries of
+    a size-n draw on seed, times a dilation factor drawn on dilation_seed
+    (independent of the entries), mod 2n, scaled to [0, 1)."""
+    sigma = sample_entries(n, params, seed).top(k)
+    theta = int(dilation_seed.generator().integers(0, 2 * n))
+    return (theta * sigma % (2 * n)) / (2 * n)
+
+
 def run_equidistribution(config: ExperimentConfig) -> Report:
     """Distribution of the top-magnitude frequencies under a uniform dilation:
     the rescaled products should look jointly uniform.  Reports per-coordinate
@@ -983,13 +993,10 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         return report
 
     streams = _stream_blocks(config)
-    coords = np.empty((len(streams["entries"]), k))
-    for r, stream in enumerate(streams["entries"]):
-        entries = sample_entries(n, params, seed.with_stream(stream))
-        # dilation factor on its own stream, independent of the entries
-        theta = int(seed.with_stream(streams["dilations"][r]).generator().integers(0, 2 * n))
-        sigma = entries.top(k)
-        coords[r] = (theta * sigma % (2 * n)) / (2 * n)
+    coords = np.array([
+        _equidist_row(n, k, params, seed.with_stream(stream), seed.with_stream(dilation))
+        for stream, dilation in zip(streams["entries"], streams["dilations"])
+    ])
 
     crit = _kolmogorov_critical(config.tol("equidist_level")) / math.sqrt(config.replicas)
     for jcoord in range(k):

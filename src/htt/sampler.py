@@ -198,14 +198,22 @@ def entries_from_uniforms(v, signs, params: AlphaParams) -> EntrySequence:
     return EntrySequence(c_n=c_n, b=b, alpha=params.alpha, p=params.p)
 
 
+def _signs(u, p: float):
+    """The sign rule: +1 where the uniform u is below p, else -1."""
+    return np.where(u < p, 1.0, -1.0)
+
+
+def _entry_uniforms(rng: np.random.Generator, n: int, p: float):
+    """n magnitude uniforms v in (0, 1], then n signs, drawn from rng."""
+    v = 1.0 - rng.random(n)
+    return v, _signs(rng.random(n), p)
+
+
 def sample_entries(n: int, params: AlphaParams, seed: RngSeed) -> EntrySequence:
     """Draw n i.i.d. signed Pareto(alpha) entries and normalize by c_n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = seed.generator()
-    v = 1.0 - rng.random(n)  # (0, 1]
-    signs = np.where(rng.random(n) < params.p, 1.0, -1.0)
-    return entries_from_uniforms(v, signs, params)
+    return entries_from_uniforms(*_entry_uniforms(seed.generator(), n, params.p), params)
 
 
 def coupled_entry_draws(n_list, params: AlphaParams, seed: RngSeed) -> dict:
@@ -248,7 +256,7 @@ def _coupled_layout(n_list, p: float, seed: RngSeed):
     n_max = sizes[-1]
     rng = seed.generator()
     gamma = np.cumsum(rng.standard_exponential(n_max + 1))
-    signs = np.where(rng.random(n_max) < p, 1.0, -1.0)
+    signs = _signs(rng.random(n_max), p)
     zeta = rng.random(min(COUPLED_TOP_RANKS, n_max))
     layout = {}
     for n in sizes:

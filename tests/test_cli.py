@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,28 @@ def test_invalid_config_exits_before_work(tmp_path, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("esd", "n_list = 8\nout_dir = 5\n", "out_dir"),
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nm = 2\n", "m"),
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nk = 3\n", "k"),
+    ],
+    ids=["out-dir-number", "properties-clip", "properties-top-k"],
+)
+def test_config_error_names_its_key(tmp_path, monkeypatch, capsys, command, text, key):
+    # a value the run could not use, or would ignore, is refused on one
+    # line that names its key, and nothing is written (no --out: the
+    # config's own out_dir, or the default under the working directory)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(text)
+    assert main([command, "--config", "bad.cfg"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err)
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
 def test_negative_seed_flag_exits_before_work(tmp_path):
     out = tmp_path / "out"
     assert main(["esd", "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG_ERROR
@@ -272,17 +295,22 @@ def test_import_builds_no_phase_table():
 
 def test_runs_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a toy run of every experiment
-    # leaves scipy unloaded, and no report records a scipy version
+    # leaves scipy unloaded, and no report records a scipy version.  Nor do
+    # the import and serial runs load a process pool's modules, which only
+    # threads > 1 needs
     out = _python(
         "import ast, sys, htt.cli; "
+        "loaded = lambda *names: sorted(m for m in sys.modules if m.split('.')[0] in names); "
+        "pools = ('concurrent', 'multiprocessing'); "
+        "print(loaded(*pools)); "
         "from htt.experiments import ExperimentConfig, run_experiment; "
         "runs = ast.literal_eval(sys.argv[1]); "
         "[run_experiment(ExperimentConfig(experiment=e, seed=3, out_dir=f'{sys.argv[2]}/{e}', "
         "**keys)) for e, keys in runs.items()]; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(loaded('scipy')); print(loaded(*pools))",
         repr(_TOY_RUNS), str(tmp_path),
     )
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]", "[]"]
     for experiment in _TOY_RUNS:
         report = json.loads((tmp_path / experiment / f"report_{experiment}.json").read_text())
         assert "scipy_version" not in report["provenance"]

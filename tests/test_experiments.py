@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -688,11 +689,15 @@ def test_every_draw_has_a_stream_of_its_own(tmp_path, monkeypatch, experiment):
 
 
 def _bits(result):
-    """The exact bits of a per-stream result: measures, floats, None and
-    sequences of them."""
+    """The exact bits of a per-stream result: measures, arrays, floats, None,
+    and sequences and dicts of them."""
     if isinstance(result, PointMeasure):
         return tuple(None if a is None else a.tobytes()
                      for a in (result.locations, result.weights, result.replica_ids))
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, dict):
+        return _bits(list(result.items()))
     if isinstance(result, (tuple, list)):
         return tuple(_bits(x) for x in result)
     return None if result is None else float(result).hex()
@@ -704,11 +709,19 @@ def test_per_stream_work_is_order_free():
     esd_cfg = ExperimentConfig(experiment="esd", seed=3, **_TOY_RUNS["esd"])
     limit_cfg = ExperimentConfig(experiment="limit", seed=3, **_TOY_RUNS["limit"])
     props_cfg = ExperimentConfig(experiment="properties", seed=3, **_TOY_RUNS["properties"])
+    equidist_cfg = ExperimentConfig(experiment="equidist", seed=3, **_TOY_RUNS["equidist"])
     esd_blocks = zip(esd_cfg.n_list, _stream_blocks(esd_cfg).values())
     limit_blocks = _stream_blocks(limit_cfg)
     ref_levels = limit_cfg.with_explicit_levels(limit_cfg.window_levels())
-    interlacing = _stream_blocks(props_cfg)["interlacing"]
+    props = _stream_blocks(props_cfg)
+    interlacing = props["interlacing"]
     wraps = RngSeed(3, interlacing.start).generator().random((len(interlacing), 2))
+    # the property tasks at the runner's levels and tail indices
+    levels = props_cfg.window_levels()
+    j_half = default_series_length(0.5)
+    half, three_halves = AlphaParams(0.5, props_cfg.p), AlphaParams(1.5, props_cfg.p)
+    growth_levels = [replace(levels, k=k, j=4096) for k in (64, 512, 4096)]
+    equidist = _stream_blocks(equidist_cfg)
     runs = [
         (experiments._esd_replica, [(esd_cfg, n, s) for n, block in esd_blocks for s in block]),
         (experiments._limit_replica, [(limit_cfg, s) for s in limit_blocks["replicas"]]),
@@ -716,6 +729,14 @@ def test_per_stream_work_is_order_free():
                                    RngSeed(3, s), True) for s in limit_blocks["reference"]]),
         (interlacing_violation, [(sample_entries(16, props_cfg.params(), RngSeed(3, s)), u)
                                  for s, u in zip(interlacing, wraps)]),
+        (experiments._mgf_passes, [(replace(levels, k=j_half, j=j_half), half, RngSeed(3, s), 1.1)
+                                   for s in props["mgf_alpha0.5"]]),
+        (experiments._support_check, [(TruncationLevels.coupled(2, w=8, j=j_half), half,
+                                       RngSeed(3, s)) for s in props["support"]]),
+        (experiments._growth_tops, [(growth_levels, three_halves, RngSeed(3, s))
+                                    for s in props["growth"]]),
+        (experiments._equidist_row, [(64, 2, equidist_cfg.params(), RngSeed(3, s), RngSeed(3, d))
+                                     for s, d in zip(equidist["entries"], equidist["dilations"])]),
     ]
     for task, inputs in runs:
         forward = [task(*x) for x in inputs]
