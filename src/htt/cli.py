@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import EXPERIMENTS, load_config, run_experiment
+from .experiments import EXPERIMENT_KEYS, EXPERIMENTS, load_config, run_experiment
 from .plots import emit_plots
 from .sampler import RunRefused
 
@@ -29,6 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Heavy-tailed Toeplitz spectra: experiments and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pooled = " and ".join(name for name, keys in EXPERIMENT_KEYS.items() if "threads" in keys)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None, help="flat key=value config file")
@@ -36,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes for the Monte Carlo limit measures "
-                            "of limit and properties; the other experiments run serially. "
-                            "Workers are forked and inherit BLAS's threads: set "
-                            "OPENBLAS_NUM_THREADS=1, or they can run slower than one process")
+                            f"of {pooled}; the other experiments start none and refuse "
+                            "any value but 1. Workers are forked and inherit BLAS's "
+                            "threads: set OPENBLAS_NUM_THREADS=1, or they can run "
+                            "slower than one process")
     p = sub.add_parser("plot", help="render histogram CSVs to SVG")
     p.add_argument("files", nargs="*", help="histogram CSV files")
     p.add_argument("--out", default=None,

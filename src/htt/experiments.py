@@ -67,6 +67,7 @@ from .spectra import (
 
 __all__ = [
     "EXPERIMENTS",
+    "EXPERIMENT_KEYS",
     "ExperimentConfig",
     "CheckRecord",
     "Report",
@@ -121,23 +122,22 @@ def _stream_blocks(config) -> dict:
     """The stream table: the config's (base, count) stream blocks by name,
     each as range(base, base + count); draw r of a block uses block[r]."""
     reps = config.replicas
-    sizes = {f"size{i}": (1000 * i, reps) for i in range(len(config.n_list))}
-    table = {
-        "esd": sizes,
-        "ladder": sizes,
-        "limit": {"replicas": (1000, reps), "reference": (500_000, config.ref_envs)},
-        "properties": {
+    if config.experiment in ("esd", "ladder"):
+        table = {f"size{i}": (1000 * i, reps) for i in range(len(config.n_list))}
+    elif config.experiment == "limit":
+        table = {"replicas": (1000, reps), "reference": (500_000, config.ref_envs)}
+    elif config.experiment == "properties":
+        table = {
             "raw": (10_000, reps),
             "mgf_alpha0.5": (21_000, reps),
             "mgf_alpha1.5": (23_000, reps),
             "support": (30_000, reps),
             "growth": (40_000, max(10, reps // 5)),
             "interlacing": (50_000, 50),
-        },
-        "equidist": {"entries": (0, reps), "dilations": (100_000, reps)},
-    }
-    return {name: range(base, base + count)
-            for name, (base, count) in table[config.experiment].items()}
+        }
+    else:
+        table = {"entries": (0, reps), "dilations": (100_000, reps)}
+    return {name: range(base, base + count) for name, (base, count) in table.items()}
 
 
 # Window half-width of the experiments that open operator windows, where
@@ -197,6 +197,11 @@ class ExperimentConfig:
         """Reject a config no experiment can run, before any work starts."""
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        reads = EXPERIMENT_KEYS[self.experiment]
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if name in _FILE_KEYS and name not in reads and value != spec.default:
+                raise ValueError(f"{self.experiment} does not read {name}, set to {value!r}")
         self.params()  # alpha in (0, 2), p in [0, 1]
         for key in ("n_list", "l_list"):
             values = getattr(self, key)
@@ -211,11 +216,6 @@ class ExperimentConfig:
             raise ValueError(f"top_coords must lie in [1, 8], got {self.top_coords!r}")
         if self.experiment == "limit" and len(self.n_list) < 3:
             raise ValueError("limit convergence needs at least 3 sizes")
-        if self.experiment == "properties":
-            for key in ("m", "k"):
-                if getattr(self, key) is not None:
-                    raise ValueError(f"properties does not read {key}, "
-                                     f"set to {getattr(self, key)!r}")
         if self.m is not None and not (isinstance(self.m, numbers.Real)
                                        and not isinstance(self.m, bool) and self.m > 0):
             raise ValueError(f"m must be positive, got {self.m!r}")
@@ -226,8 +226,8 @@ class ExperimentConfig:
         if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
                 and self.seed >= 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        w = self._half_width()
-        if self.l is not None and w is not None and self.l > 2 * w:
+        w = self._half_width()  # set wherever l is: only limit and properties read l
+        if self.l is not None and self.l > 2 * w:
             raise ValueError(f"band width l = {self.l} exceeds the window reach {2 * w}")
         if self.experiment == "ladder" and self.k is not None and self.k > min(self.n_list):
             raise ValueError(f"top-k k = {self.k} exceeds the smallest size {min(self.n_list)}")
@@ -241,6 +241,8 @@ class ExperimentConfig:
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance tol_{name}")
+            if f"tol_{name}" not in reads:
+                raise ValueError(f"{self.experiment} does not read tol_{name}, set to {value!r}")
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"tol_{name} must be a number, got {value!r}")
             if name == "equidist_level" and not 0 < value < 1:
@@ -264,8 +266,7 @@ class ExperimentConfig:
     def levels_for(self, l: int) -> TruncationLevels:
         """Ladder levels at band width l: clip and top-k coupled to l, each
         replaced by an explicit m or k."""
-        coupled = TruncationLevels.coupled(l, w=self.w, j=self.series_length())
-        return self.with_explicit_levels(coupled)
+        return self.with_explicit_levels(TruncationLevels.coupled(l))
 
     def _half_width(self) -> int | None:
         """The configured w, else the experiment's default half-width (None
@@ -1031,6 +1032,20 @@ EXPERIMENTS = {
     "limit": run_limit_convergence,
     "properties": run_property_suite,
     "equidist": run_equidistribution,
+}
+
+# The config keys each experiment reads: fields, and tolerances as tol_<name>.
+# A config may set no other tolerance, and no other field away from its default.
+_COMMON_KEYS = ("alpha", "p", "seed", "out_dir", "n_list", "replicas")
+EXPERIMENT_KEYS = {
+    "esd": (*_COMMON_KEYS, "bins", "tol_esd_identity"),
+    "ladder": (*_COMMON_KEYS, "l_list", "m", "k", "tol_ladder_final", "tol_ladder_trend_slack"),
+    "limit": (*_COMMON_KEYS, "m", "k", "l", "w", "j", "ref_envs", "inner", "bins", "threads",
+              "tol_limit_trend_slack", "tol_reflection_invariance"),
+    "properties": (*_COMMON_KEYS, "l", "w", "j", "inner", "threads",
+                   "tol_symmetry_cdf", "tol_mgf_slack", "tol_mgf_pass_fraction",
+                   "tol_support_violations", "tol_growth_slack", "tol_interlacing"),
+    "equidist": (*_COMMON_KEYS, "top_coords", "tol_weyl_sum", "tol_equidist_level"),
 }
 
 

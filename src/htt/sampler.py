@@ -314,9 +314,10 @@ def _environment_from(
     gamma = np.cumsum(rng.standard_exponential(j))
     zeta = _grid_uniform(rng, j, 0)  # [0, 1/2)
     u = _grid_uniform(rng, j, 1)  # [0, 1), even indices
-    # j sign uniforms that nothing reads, drawn to keep redraw_phases on its
-    # recorded stream positions; the draw goes with ROADMAP item 1's re-record
-    rng.random(j)
+    # skip j uniforms (a sign draw that nothing read), which keeps
+    # redraw_phases on its recorded stream positions; the skip goes with
+    # ROADMAP item 1's re-record
+    rng.bit_generator.advance(j)
     with np.errstate(over="ignore"):
         overflow = np.isinf(gamma[0] ** (-1.0 / params.alpha))
     if overflow:

@@ -141,21 +141,29 @@ def test_invalid_config_exits_before_work(tmp_path, command, text):
 
 
 @pytest.mark.parametrize(
-    "command, text, key",
+    "command, text, flags, key",
     [
-        ("esd", "n_list = 8\nout_dir = 5\n", "out_dir"),
-        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nm = 2\n", "m"),
-        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nk = 3\n", "k"),
+        ("esd", "n_list = 8\nout_dir = 5\n", [], "out_dir"),
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nm = 2\n", [], "m"),
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nk = 3\n", [], "k"),
+        ("equidist", "n_list = 64\nreplicas = 20\ntop_coords = 2\nm = 2\n", [], "m"),
+        ("ladder", "n_list = 16\nl_list = 2, 4\nreplicas = 5\nw = 64\n", [], "w"),
+        ("esd", "n_list = 8\nreplicas = 2\nref_envs = 7\n", [], "ref_envs"),
+        ("esd", "n_list = 8\nreplicas = 2\ntol_weyl_sum = 1e-3\n", [], "tol_weyl_sum"),
+        ("properties", "w = 8\nn_list = 16\nreplicas = 2\nbins = 4\n", [], "bins"),
+        ("esd", "n_list = 8\nreplicas = 2\n", ["--threads", "2"], "threads"),
     ],
-    ids=["out-dir-number", "properties-clip", "properties-top-k"],
+    ids=["out-dir-number", "properties-clip", "properties-top-k", "equidist-clip",
+         "ladder-window", "esd-reference-envs", "esd-weyl-tolerance", "properties-bins",
+         "esd-threads-flag"],
 )
-def test_config_error_names_its_key(tmp_path, monkeypatch, capsys, command, text, key):
+def test_config_error_names_its_key(tmp_path, monkeypatch, capsys, command, text, flags, key):
     # a value the run could not use, or would ignore, is refused on one
     # line that names its key, and nothing is written (no --out: the
     # config's own out_dir, or the default under the working directory)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.cfg").write_text(text)
-    assert main([command, "--config", "bad.cfg"]) == EXIT_CONFIG_ERROR
+    assert main([command, "--config", "bad.cfg", *flags]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert re.search(rf"\b{key}\b", err)

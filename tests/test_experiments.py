@@ -11,6 +11,8 @@ import scipy.stats
 from htt import experiments
 from htt.experiments import (
     DEFAULT_TOLERANCES,
+    EXPERIMENT_KEYS,
+    EXPERIMENTS,
     ExperimentConfig,
     _ROUNDING_FLOOR,
     _asymmetry_zscore,
@@ -57,7 +59,7 @@ class TestConfigParsing:
         m = inf
         out_dir = results  # trailing comment
         n_list = 64, 128, 256
-        tol_esd_identity = 1e-7
+        tol_ladder_final = 1e-7
         """
         mapping = parse_config_text(text)
         assert mapping["alpha"] == 0.5
@@ -65,10 +67,10 @@ class TestConfigParsing:
         assert mapping["m"] == math.inf
         assert mapping["out_dir"] == "results"
         assert mapping["n_list"] == (64, 128, 256)
-        cfg = config_from_mapping("esd", mapping)
+        cfg = config_from_mapping("ladder", mapping)
         assert cfg.n_list == (64, 128, 256)
-        assert cfg.tol("esd_identity") == 1e-7
-        assert cfg.tol("interlacing") == DEFAULT_TOLERANCES["interlacing"]
+        assert cfg.tol("ladder_final") == 1e-7
+        assert cfg.tol("ladder_trend_slack") == DEFAULT_TOLERANCES["ladder_trend_slack"]
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
@@ -93,10 +95,12 @@ class TestConfigParsing:
         assert lv.k == round(512 ** (1.0 / 9.0))
 
     def test_explicit_levels(self):
+        lv = config_from_mapping("ladder", {"n_list": 16, "m": 2.5, "k": 7}).levels_for(16)
+        assert (lv.m, lv.k, lv.l) == (2.5, 7, 16)
         cfg = config_from_mapping(
-            "ladder", {"n_list": 16, "m": 2.5, "k": 7, "w": 64, "j": 100}
+            "limit", {"n_list": (8, 16, 32), "m": 2.5, "k": 7, "l": 16, "w": 64, "j": 100}
         )
-        lv = cfg.levels_for(16)
+        lv = cfg.with_explicit_levels(cfg.window_levels())
         assert (lv.m, lv.k, lv.l, lv.w, lv.j) == (2.5, 7, 16, 64, 100)
 
     def test_one_explicit_level_keeps_the_other_coupled(self):
@@ -133,12 +137,24 @@ class TestConfigParsing:
 
     def test_readme_lists_every_config_key(self):
         # the README's key table names exactly the config fields, with the
-        # tolerances spelled tol_<name>; the experiment is the subcommand
+        # tolerances spelled tol_<name>, and its "read by" column says what
+        # EXPERIMENT_KEYS says; the experiment is the subcommand
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
-        listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+        rows = dict(re.findall(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", section,
+                               flags=re.MULTILINE))
         fields = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "tolerances"}
-        assert sorted(listed) == sorted(fields | {"tol_<name>"})
+        assert sorted(rows) == sorted(fields | {"tol_<name>"})
+        for key in fields:
+            listed = (set(EXPERIMENTS) if rows[key].strip() == "all"
+                      else set(re.findall(r"`(\w+)`", rows[key])))
+            assert listed == {e for e, keys in EXPERIMENT_KEYS.items() if key in keys}, key
+        tolerances = {}
+        for part in rows["tol_<name>"].split(";"):
+            experiment, names = part.split(":")
+            tolerances[experiment.strip(" `")] = {f"tol_{n}" for n in re.findall(r"`(\w+)`", names)}
+        assert tolerances == {e: {k for k in keys if k.startswith("tol_")}
+                              for e, keys in EXPERIMENT_KEYS.items()}
 
 
 class TestReport:
@@ -170,11 +186,11 @@ class TestReport:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2"}
 
     def test_hash_ignores_tolerance_order(self):
-        a = ExperimentConfig("esd", tolerances={"esd_identity": 1, "weyl_sum": 2})
-        b = ExperimentConfig("esd", tolerances={"weyl_sum": 2, "esd_identity": 1})
+        a = ExperimentConfig("ladder", tolerances={"ladder_final": 1, "ladder_trend_slack": 2})
+        b = ExperimentConfig("ladder", tolerances={"ladder_trend_slack": 2, "ladder_final": 1})
         assert a == b
         assert _config_hash(a) == _config_hash(b)
-        only_a = ExperimentConfig("esd", tolerances={"esd_identity": 1})
+        only_a = ExperimentConfig("ladder", tolerances={"ladder_final": 1})
         assert _config_hash(a) != _config_hash(only_a)
 
     def test_reproducible_outputs(self, tmp_path):
@@ -213,6 +229,43 @@ class TestTolerances:
             run_experiment(ExperimentConfig(
                 experiment, out_dir=str(tmp_path / experiment), **keys))
         assert read == set(DEFAULT_TOLERANCES)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_runs_read_their_table_entry(self, tmp_path, monkeypatch, experiment):
+        # the config fields and tolerances a run reads are exactly its
+        # EXPERIMENT_KEYS entry; the config is built before recording, since
+        # validation reads every field
+        cfg = ExperimentConfig(experiment, seed=3, out_dir=str(tmp_path), **_TOY_RUNS[experiment])
+        keys = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "tolerances"}
+        read = set()
+        tol = ExperimentConfig.tol
+
+        def recording_getattribute(config, name):
+            if name in keys:
+                read.add(name)
+            return object.__getattribute__(config, name)
+
+        def recording_tol(config, name):
+            read.add(f"tol_{name}")
+            return tol(config, name)
+
+        monkeypatch.setattr(ExperimentConfig, "__getattribute__", recording_getattribute)
+        monkeypatch.setattr(ExperimentConfig, "tol", recording_tol)
+        run_experiment(cfg)
+        assert read == set(EXPERIMENT_KEYS[experiment])
+
+    def test_unread_key_refused_unless_default(self):
+        # a field the experiment does not read may only keep its default; a
+        # tolerance it does not read may not be set at all
+        ExperimentConfig("esd", ref_envs=200, threads=1, top_coords=4)
+        with pytest.raises(ValueError, match=r"^equidist does not read m, set to 2$"):
+            ExperimentConfig("equidist", m=2)
+        with pytest.raises(ValueError, match=r"^esd does not read threads, set to 2$"):
+            ExperimentConfig("esd", threads=2)
+        with pytest.raises(ValueError, match=r"^esd does not read tol_weyl_sum, set to 1e-10$"):
+            ExperimentConfig("esd", tolerances={"weyl_sum": DEFAULT_TOLERANCES["weyl_sum"]})
 
 
 class TestEsdRun:

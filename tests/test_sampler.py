@@ -13,6 +13,8 @@ from htt.sampler import (
     RngSeed,
     RunRefused,
     _coupled_layout,
+    _environment_from,
+    _grid_uniform,
     _place_ranks,
     coupled_entry_draws,
     default_series_length,
@@ -345,6 +347,25 @@ class TestEnvironment:
         np.testing.assert_array_equal(env.gamma, env2.gamma)
         np.testing.assert_array_equal(env.zeta, env2.zeta)
         assert not np.array_equal(env.u, env2.u)
+
+    @pytest.mark.parametrize("j", [1, 3, 4097, 100_000])
+    def test_skipped_sign_uniforms_keep_the_stream(self, j):
+        # the environment skips the j sign uniforms that it used to draw and
+        # discard: the generator it hands on is where drawing them left it,
+        # so every phase redraw is unchanged
+        seed = RngSeed(5, 7)
+        env, rng = _environment_from(seed, j, AlphaParams(0.5))
+        drawn = seed.generator()
+        drawn.standard_exponential(j)
+        _grid_uniform(drawn, j, 0)
+        _grid_uniform(drawn, j, 1)
+        drawn.random(j)
+        # the cached uinteger may differ; nothing reads it while has_uint32 is 0
+        assert rng.bit_generator.state["has_uint32"] == 0
+        for key in ("state", "has_uint32"):
+            assert rng.bit_generator.state[key] == drawn.bit_generator.state[key]
+        for _ in range(2):
+            np.testing.assert_array_equal(redraw_phases(env, rng).u, _grid_uniform(drawn, j, 1))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
