@@ -1,12 +1,13 @@
 """End-to-end experiment runs: ESD computation, truncation ladders, Monte
 Carlo limit estimation, spectral-property suites, and equidistribution
-diagnostics.  Every run writes CSV artifacts, and :func:`run_experiment`
-adds a JSON report whose config hash and seed reproduce bit-identical
-numerical output at the same BLAS thread count, which the report's
-``blas_env`` records.
+diagnostics.  Every run records CSV artifacts and a JSON report whose
+config hash and seed reproduce bit-identical numerical output at the same
+BLAS thread count, which the report's ``blas_env`` records.
 
-A runner does all of its per-stream work first and only then creates its
-output directory and writes, so a refused run (``RunRefused``) leaves none.
+A run has one writer: a runner returns its report with its ``files`` and
+writes nothing, and :func:`run_experiment` alone creates the output
+directory and writes them, then the report with its provenance, so a run
+that fails or is refused (``RunRefused``) in its runner leaves no output.
 
 Every draw uses the base seed and a stream of its own from the stream
 table ``_stream_blocks``, except the interlacing wraps: they share replica
@@ -17,6 +18,7 @@ the wraps move (ROADMAP item 1).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -243,7 +245,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown tolerance tol_{name}")
             if f"tol_{name}" not in reads:
                 raise ValueError(f"{self.experiment} does not read tol_{name}, set to {value!r}")
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or math.isnan(value):
                 raise ValueError(f"tol_{name} must be a number, got {value!r}")
             if name == "equidist_level" and not 0 < value < 1:
                 raise ValueError(f"tol_equidist_level must lie in (0, 1), got {value!r}")
@@ -386,10 +388,15 @@ class CheckRecord:
 
 @dataclass
 class Report:
+    """A run's checks, notes and files by name (a ``PointMeasure``,
+    ``(edges, masses)`` of a histogram, or text), which ``run_experiment``
+    writes next to the report, and the provenance it adds."""
+
     experiment: str
-    checks: list
-    provenance: dict
+    checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -445,36 +452,6 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _new_report(config: ExperimentConfig) -> Report:
-    return Report(
-        experiment=config.experiment,
-        checks=[],
-        provenance={
-            "config": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in config.__dict__.items()},
-            "config_hash": _config_hash(config),
-            "seed": config.seed,
-            "version": __version__,
-            "tolerances": config.effective_tolerances(),
-        },
-    )
-
-
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _save_with_histogram(out: Path, name: str, hist_name: str, m: PointMeasure,
-                         bins: int | None) -> np.ndarray:
-    """Write m to out/name and its histogram to out/hist_name; return the masses."""
-    save_measure_csv(out / name, m)
-    edges, masses = histogram(m, bins)
-    save_histogram_csv(out / hist_name, edges, masses)
-    return masses
-
-
 # ---------------------------------------------------------------------------
 # esd
 
@@ -502,17 +479,16 @@ def _esd_replica(config: ExperimentConfig, n: int, stream: int):
 
 
 def run_esd(config: ExperimentConfig) -> Report:
-    """Sample Toeplitz replicas, write per-replica and pooled spectra, and
+    """Sample Toeplitz replicas, record per-replica and pooled spectra, and
     verify the exact corner-embedding identity at small sizes."""
     per_size = {n: list(zip(*(_esd_replica(config, n, stream) for stream in block)))
                 for n, block in zip(config.n_list, _stream_blocks(config).values())}
-    report = _new_report(config)
-    out = _out_dir(config)
+    report = Report(config.experiment)
     for n, (measures, corners) in per_size.items():
         for r, m in enumerate(measures):
-            save_measure_csv(out / f"esd_n{n}_r{r}.csv", m)
-        masses = _save_with_histogram(out, f"esd_n{n}_pooled.csv", f"esd_n{n}_hist.csv",
-                                      PointMeasure.pooled(measures), config.bins)
+            report.files[f"esd_n{n}_r{r}.csv"] = m
+        pooled = report.files[f"esd_n{n}_pooled.csv"] = PointMeasure.pooled(measures)
+        _, masses = report.files[f"esd_n{n}_hist.csv"] = histogram(pooled, config.bins)
         report.check(
             f"histogram_mass_n{n}",
             abs(masses.sum() - 1.0),
@@ -574,7 +550,7 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
     at every band width by one ``ladder_distances`` call against the band
     symbols of size n_i, built once per (n, l); rows are written in
     (n, l, r) order."""
-    report = _new_report(config)
+    report = Report(config.experiment)
     params = config.params()
     seed = config.base_seed()
     if config.replicas < 5:
@@ -593,7 +569,7 @@ def run_truncation_ladder(config: ExperimentConfig) -> Report:
             lines += [f"{n},{l},{levels.m!r},{levels.k},{r},{d1!r},{d2!r},{d3!r}\n"
                       for r, (d1, d2, d3) in enumerate(rows)]
             totals[(n, l)] = float(np.mean(rows, axis=0).sum())
-    (_out_dir(config) / "ladder.csv").write_text("".join(lines))
+    report.files["ladder.csv"] = "".join(lines)
     n_top = n_list[-1]
     final = totals[(n_top, l_list[-1])]
     report.check(
@@ -673,11 +649,11 @@ def run_limit_convergence(config: ExperimentConfig) -> Report:
     replicas = [_limit_replica(config, stream) for stream in _stream_blocks(config)["replicas"]]
     n_list = sorted(config.n_list)
     pooled, distances = limit_distances(dict(zip(n_list, zip(*replicas))), ref)
-    report = _new_report(config)
-    out = _out_dir(config)
-    _save_with_histogram(out, "limit_reference.csv", "limit_reference_hist.csv", ref, config.bins)
-    for n, m in pooled.items():
-        _save_with_histogram(out, f"limit_esd_n{n}.csv", f"limit_esd_n{n}_hist.csv", m, config.bins)
+    report = Report(config.experiment)
+    measures = {"limit_reference": ref, **{f"limit_esd_n{n}": m for n, m in pooled.items()}}
+    for name, m in measures.items():
+        report.files[f"{name}.csv"] = m
+        report.files[f"{name}_hist.csv"] = histogram(m, config.bins)
     for n_prev, n_next in zip(n_list, n_list[1:]):
         report.check(
             f"limit_distance_decrease_n{n_prev}_to_n{n_next}",
@@ -808,7 +784,7 @@ def run_property_suite(config: ExperimentConfig) -> Report:
         for stream, u in zip(streams["interlacing"], wraps)
     ]
 
-    report = _new_report(config)
+    report = Report(config.experiment, files={"properties_raw_measure.csv": raw})
     # (a) the antithetic estimate satisfies the CDF mirror identity outright;
     # the raw estimate's asymmetry must be statistically consistent with
     # zero (4 standard errors over replicas)
@@ -860,7 +836,6 @@ def run_property_suite(config: ExperimentConfig) -> Report:
     report.check("interlacing", max(violations), tol("interlacing") * max(1.0, *scales),
                  "Toeplitz eigenvalues interlace between the circulant embedding's "
                  "eigenvalues (principal submatrix)")
-    save_measure_csv(_out_dir(config) / "properties_raw_measure.csv", raw)
     return report
 
 
@@ -974,7 +949,7 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
     """Distribution of the top-magnitude frequencies under a uniform dilation:
     the rescaled products should look jointly uniform.  Reports per-coordinate
     KS statistics against U[0,1) plus pairwise indicator-bin correlations."""
-    report = _new_report(config)
+    report = Report(config.experiment)
     k = config.top_coords
     n = max(config.n_list)
     params = config.params()
@@ -1017,8 +992,10 @@ def run_equidistribution(config: ExperimentConfig) -> Report:
         f"{_max_bin_correlation(coords):.4f} "
         f"(rough 4-sigma reference: {4.0 / math.sqrt(config.replicas):.4f})"
     )
-    np.savetxt(_out_dir(config) / "equidist_coords.csv", coords, delimiter=",",
-               header=",".join(f"coord{i}" for i in range(k)), comments="")
+    text = io.StringIO()
+    np.savetxt(text, coords, delimiter=",", header=",".join(f"coord{i}" for i in range(k)),
+               comments="")
+    report.files["equidist_coords.csv"] = text.getvalue()
     return report
 
 
@@ -1050,16 +1027,33 @@ EXPERIMENT_KEYS = {
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Run one experiment and write its report, provenance included, as
-    ``report_<experiment>.json``; the runners themselves only return it."""
+    """Run one experiment, then create ``out_dir`` and write the runner's
+    files and the report, provenance included, as ``report_<experiment>.json``:
+    the one writer of a run."""
     t0 = time.perf_counter()
     report = EXPERIMENTS[config.experiment](config)
-    report.provenance["runtime_seconds"] = round(time.perf_counter() - t0, 3)
-    report.provenance["numpy_version"] = np.__version__
-    # outputs depend on the BLAS thread count, which these variables set
-    report.provenance["blas_env"] = {name: os.environ.get(name) for name in _BLAS_ENV}
-    # ru_maxrss is in KiB on Linux
-    report.provenance["peak_rss_mb"] = round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-    report.save(_out_dir(config) / f"report_{config.experiment}.json")
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in report.files.items():
+        if isinstance(content, PointMeasure):
+            save_measure_csv(out / name, content)
+        elif isinstance(content, str):
+            (out / name).write_text(content)
+        else:
+            save_histogram_csv(out / name, *content)
+    report.provenance = {
+        "config": {k: (list(v) if isinstance(v, tuple) else v)
+                   for k, v in config.__dict__.items()},
+        "config_hash": _config_hash(config),
+        "seed": config.seed,
+        "version": __version__,
+        "tolerances": config.effective_tolerances(),
+        "runtime_seconds": round(time.perf_counter() - t0, 3),
+        "numpy_version": np.__version__,
+        # outputs depend on the BLAS thread count, which these variables set
+        "blas_env": {name: os.environ.get(name) for name in _BLAS_ENV},
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+    report.save(out / f"report_{config.experiment}.json")
     return report

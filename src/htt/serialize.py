@@ -73,6 +73,9 @@ def save_histogram_csv(path, edges: np.ndarray, masses: np.ndarray):
 
 
 def load_histogram_csv(path):
+    with open(path, errors="replace") as fh:
+        if fh.readline().strip() != "bin_left,bin_right,mass":
+            raise ValueError(f"not a histogram CSV: {path}")
     data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
     if data.size == 0 or np.isnan(data).any():
         raise ValueError(f"malformed histogram CSV: {path}")

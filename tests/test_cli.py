@@ -152,10 +152,11 @@ def test_invalid_config_exits_before_work(tmp_path, command, text):
         ("esd", "n_list = 8\nreplicas = 2\ntol_weyl_sum = 1e-3\n", [], "tol_weyl_sum"),
         ("properties", "w = 8\nn_list = 16\nreplicas = 2\nbins = 4\n", [], "bins"),
         ("esd", "n_list = 8\nreplicas = 2\n", ["--threads", "2"], "threads"),
+        ("esd", "n_list = 8\nreplicas = 2\ntol_esd_identity = nan\n", [], "tol_esd_identity"),
     ],
     ids=["out-dir-number", "properties-clip", "properties-top-k", "equidist-clip",
          "ladder-window", "esd-reference-envs", "esd-weyl-tolerance", "properties-bins",
-         "esd-threads-flag"],
+         "esd-threads-flag", "esd-nan-tolerance"],
 )
 def test_config_error_names_its_key(tmp_path, monkeypatch, capsys, command, text, flags, key):
     # a value the run could not use, or would ignore, is refused on one
@@ -229,6 +230,22 @@ def test_plot_separate_rejects_out(tmp_path):
         save_histogram_csv(csv, np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]))
     argv = ["plot", *map(str, csvs), "--separate", "--out", str(tmp_path / "overlay.svg")]
     assert main(argv) == EXIT_CONFIG_ERROR
+    assert not list(tmp_path.glob("*.svg"))
+
+
+@pytest.mark.parametrize("name", ["esd_n8_pooled.csv", "report_esd.json"])
+def test_plot_refuses_a_file_that_is_not_a_histogram(tmp_path, capsys, name):
+    # a measure CSV or a report is refused on one line naming it, and no SVG
+    # is written
+    cfg = tmp_path / "esd.cfg"
+    cfg.write_text("n_list = 8\nreplicas = 2\n")
+    assert main(["esd", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    svg = tmp_path / "x.svg"
+    assert main(["plot", str(tmp_path / name), "--out", str(svg)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("plot error: ") and err.count("\n") == 1
+    assert name in err
     assert not list(tmp_path.glob("*.svg"))
 
 

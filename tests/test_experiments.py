@@ -196,7 +196,7 @@ class TestReport:
     def test_reproducible_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            run_esd(
+            run_experiment(
                 ExperimentConfig(
                     experiment="esd", n_list=(8,), replicas=2, out_dir=str(out), seed=3
                 )
@@ -480,7 +480,7 @@ class TestPropertySuite:
             experiment="properties", alpha=0.9, w=8, l=2, n_list=(16,),
             replicas=2, seed=20256739, out_dir=str(tmp_path),
         )
-        report = run_property_suite(cfg)
+        report = run_experiment(cfg)
         raw = load_measure_csv(tmp_path / "properties_raw_measure.csv")
         subs = [quenched_sub_measure(raw, r) for r in range(2)]
         want = max(
@@ -739,6 +739,36 @@ def test_every_draw_has_a_stream_of_its_own(tmp_path, monkeypatch, experiment):
     assert seen and {seed for seed, _ in seen} == {3}
     assert all(any(s in b for b in blocks) for _, s in seen)
     assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_runner_writes_nothing_and_run_experiment_writes_its_files(tmp_path, experiment):
+    # the runner only returns its report; run_experiment writes exactly the
+    # files the report carries, and the report itself
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment=experiment, seed=3, out_dir=str(out),
+                           **_TOY_RUNS[experiment])
+    files = EXPERIMENTS[experiment](cfg).files
+    assert files and not out.exists()
+    run_experiment(cfg)
+    written = {p.name for p in out.iterdir()}
+    assert written == {*files, f"report_{experiment}.json"}
+
+
+@pytest.mark.parametrize("experiment", ["esd", "limit"])
+def test_failure_before_the_writes_leaves_no_output(tmp_path, monkeypatch, experiment):
+    # a histogram fails after every draw and solve: nothing is written, not
+    # even the measure CSVs whose histograms come later
+    def failing(m, bins=None):
+        raise MemoryError("planted histogram failure")
+
+    monkeypatch.setattr("htt.experiments.histogram", failing)
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment=experiment, seed=3, out_dir=str(out),
+                           **_TOY_RUNS[experiment])
+    with pytest.raises(MemoryError, match="planted"):
+        run_experiment(cfg)
+    assert not out.exists()
 
 
 def _bits(result):
